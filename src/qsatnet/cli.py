@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -36,7 +37,8 @@ DEFAULT_RX_GRID = "0.125:1.25:10"
 
 
 def _parse_grid(spec: str) -> list:
-    """Grid syntax: comma-separated values or lo:hi:count (inclusive)."""
+    """Grid syntax: comma-separated values or lo:hi:count (inclusive).
+    Every value is a radius, so it must be finite and > 0."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
@@ -46,12 +48,13 @@ def _parse_grid(spec: str) -> list:
         count = int(parts[2])
         if count < 1:
             raise ValueError(f"grid count must be >= 1, got {count}")
-        if count == 1:
-            return [lo]
-        return list(np.linspace(lo, hi, count))
-    values = [float(v) for v in spec.split(",") if v.strip()]
+        values = [lo] if count == 1 else list(np.linspace(lo, hi, count))
+    else:
+        values = [float(v) for v in spec.split(",") if v.strip()]
     if not values:
         raise ValueError(f"empty grid {spec!r}")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValueError(f"grid values must be finite and > 0, got {spec!r}")
     return values
 
 
@@ -180,16 +183,22 @@ def _cmd_channel_sample(args) -> int:
 
 
 def _cmd_packet_encode(args) -> int:
-    raw = sys.stdin.buffer.read() if args.input is None else open(
-        args.input, "rb").read()
     try:
+        if args.input is None:
+            raw = sys.stdin.buffer.read()
+        else:
+            with open(args.input, "rb") as fh:
+                raw = fh.read()
         spec = json.loads(raw.decode("utf-8"))
+        if not isinstance(spec, dict):
+            raise TypeError(f"expected a JSON object, got {type(spec).__name__}")
         data = pk.encode(pk.packet_from_dict(spec))
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError) as exc:
-        print(f"config error: bad packet description: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except pk.EncodeValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # unreadable input, malformed JSON or hex, missing or mistyped fields
+        print(f"config error: bad packet description: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.raw:
         sys.stdout.buffer.write(data)

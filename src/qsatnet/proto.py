@@ -14,7 +14,7 @@ Phases move only forward:
          -> TELEPORTING -> DONE
 
 FAILED is absorbing and reachable from any non-terminal phase.  Pair
-memories enforce a hard coherence cutoff: an entry older than the memory
+memories enforce a hard coherence cutoff: a pair older than the memory
 coherence time is never consumed.
 
 Every step appends one JSON-friendly record to the trace:
@@ -71,86 +71,75 @@ class Failure:
     INSUFFICIENT_ENTANGLEMENT = "InsufficientEntanglement"
 
 
-class RawPairClass:
-    RAW = "RAW"
-    DISTILLED = "DISTILLED"
-
-
-@dataclass
-class EbitEntry:
-    pair_id: int
-    created_at: float
-    fidelity_class: str = RawPairClass.RAW
-
-
 class EbitPool:
-    """Timestamped inventory of shared pairs with a hard expiry cutoff."""
+    """Timestamped inventory of the pairs a session's two stations share,
+    with a hard expiry cutoff.
 
-    def __init__(self, owner: tuple, coherence_time: float, capacity: int):
+    Both stations receive the same pairs at the same times, so one pool
+    serves the session.  Pairs are held as (ids, created_at) segments: one
+    per raw deposit and one per distillation output.  Ids must ascend from
+    segment to segment, which makes the duplicate check O(1).
+    """
+
+    def __init__(self, coherence_time: float, capacity: int):
         if coherence_time <= 0:
             raise ValueError("coherence_time must be > 0")
-        self.owner = owner
         self.coherence_time = coherence_time
         self.capacity = capacity
-        self.entries: list[EbitEntry] = []
-        # (pair_id, created_at, consumed_at) for every consume event
-        self.consumed_log: list[tuple[int, float, float]] = []
+        self.raw: list[tuple[Sequence[int], float]] = []
+        self.distilled: list[tuple[Sequence[int], float]] = []
+        self._size = 0
+        self._last_id = -math.inf
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._size
 
     def space(self) -> int:
-        return self.capacity - len(self.entries)
+        return self.capacity - self._size
 
-    def is_fresh(self, entry: EbitEntry, t: float) -> bool:
-        return (t - entry.created_at) <= self.coherence_time
+    def is_fresh(self, created_at: float, t: float) -> bool:
+        return (t - created_at) <= self.coherence_time
 
-    def deposit_raw(self, pair_ids: Sequence[int], created_at: float) -> list[int]:
+    def _store(self, segments: list, ids: Sequence[int], created_at: float) -> None:
+        if len(ids) == 0:
+            return
+        if ids[0] <= self._last_id:
+            raise ValueError(f"duplicate or out-of-order pair id {ids[0]}")
+        segments.append((ids, created_at))
+        self._size += len(ids)
+        self._last_id = ids[-1]
+
+    def deposit_raw(self, pair_ids: Sequence[int], created_at: float) -> Sequence[int]:
         """Store raw pairs up to capacity; returns the ids actually kept."""
-        existing = {e.pair_id for e in self.entries}
-        accepted = []
-        for pid in pair_ids:
-            if pid in existing:
-                raise ValueError(f"duplicate pair id {pid}")
-            if self.space() <= 0:
-                break
-            self.entries.append(EbitEntry(pid, created_at, RawPairClass.RAW))
-            accepted.append(pid)
-            existing.add(pid)
-        return accepted
+        kept = pair_ids[:max(0, self.space())]
+        self._store(self.raw, kept, created_at)
+        return kept
 
-    def raw_entries(self) -> list[EbitEntry]:
-        return [e for e in self.entries if e.fidelity_class == RawPairClass.RAW]
+    def fresh_raw(self, t: float) -> list[int]:
+        return [pid for ids, created_at in self.raw
+                if self.is_fresh(created_at, t) for pid in ids]
 
-    def fresh_raw(self, t: float) -> list[EbitEntry]:
-        return [e for e in self.raw_entries() if self.is_fresh(e, t)]
+    def fresh_distilled(self, t: float) -> list[int]:
+        return [pid for ids, created_at in self.distilled
+                if self.is_fresh(created_at, t) for pid in ids]
 
-    def fresh_distilled(self, t: float) -> list[EbitEntry]:
-        return [e for e in self.entries
-                if e.fidelity_class == RawPairClass.DISTILLED and self.is_fresh(e, t)]
-
-    def replace_raw_with_distilled(self, consumed_ids: Sequence[int],
-                                   distilled_ids: Sequence[int], t: float) -> None:
-        """Drop every raw entry, logging the consumed ones, and store the
-        distilled output timestamped at t."""
-        consumed = set(consumed_ids)
-        for e in self.raw_entries():
-            if e.pair_id in consumed:
-                self.consumed_log.append((e.pair_id, e.created_at, t))
-        self.entries = [e for e in self.entries
-                        if e.fidelity_class != RawPairClass.RAW]
-        for pid in distilled_ids:
-            self.entries.append(EbitEntry(pid, t, RawPairClass.DISTILLED))
+    def replace_raw_with_distilled(self, distilled_ids: Sequence[int],
+                                   t: float) -> None:
+        """Drop every raw pair and store the distilled output timestamped at t."""
+        self._size -= sum(len(ids) for ids, _ in self.raw)
+        self.raw = []
+        self._store(self.distilled, distilled_ids, t)
 
     def consume_distilled(self, t: float, max_count: int) -> list[int]:
         """Use up to max_count fresh distilled pairs at time t (oldest first)."""
-        usable = sorted(self.fresh_distilled(t), key=lambda e: (e.created_at, e.pair_id))
-        taken = usable[:max_count]
-        taken_ids = {e.pair_id for e in taken}
-        for e in taken:
-            self.consumed_log.append((e.pair_id, e.created_at, t))
-        self.entries = [e for e in self.entries if e.pair_id not in taken_ids]
-        return sorted(taken_ids)
+        taken: list[int] = []
+        for k, (ids, created_at) in enumerate(self.distilled):
+            if self.is_fresh(created_at, t):
+                n = max_count - len(taken)
+                taken.extend(ids[:n])
+                self.distilled[k] = (ids[n:], created_at)
+        self._size -= len(taken)
+        return taken
 
 
 @dataclass(frozen=True)
@@ -200,8 +189,7 @@ class Session:
     phase: Phase = Phase.IDLE
     geo_id: Optional[int] = None
     leo_id: Optional[int] = None
-    pool_a: Optional[EbitPool] = None
-    pool_b: Optional[EbitPool] = None
+    pool: Optional[EbitPool] = None
     remaining: int = 0
     pending_deposits: int = 0
     survivors_emitted: int = 0
@@ -315,8 +303,7 @@ class Network:
         coherence = min(station_a.memory_coherence_time,
                         station_b.memory_coherence_time)
         capacity = min(station_a.memory_capacity, station_b.memory_capacity)
-        sess.pool_a = EbitPool((a_id, b_id), coherence, capacity)
-        sess.pool_b = EbitPool((a_id, b_id), coherence, capacity)
+        sess.pool = EbitPool(coherence, capacity)
         sess.rng_arm_a = self.engine.stream("proto", sess.id, "arm_a")
         sess.rng_arm_b = self.engine.stream("proto", sess.id, "arm_b")
         sess.rng_survival = self.engine.stream("proto", sess.id, "survival")
@@ -429,7 +416,7 @@ class Network:
         survive = sample_pair_survival(model_a, model_b, sess.rng_arm_a,
                                        sess.rng_arm_b, sess.rng_survival, n)
         survivors = int(np.count_nonzero(survive))
-        pair_ids = list(range(self._next_pair_id, self._next_pair_id + survivors))
+        pair_ids = range(self._next_pair_id, self._next_pair_id + survivors)
         self._next_pair_id += survivors
         arrival_t = now + max(link_a.propagation_delay, link_b.propagation_delay)
         sess.eta0_a = model_a.eta0
@@ -446,8 +433,7 @@ class Network:
                     "b": self.downlink_b, "emit_t": now, "arrival_t": arrival_t,
                     "slant_a_m": link_a.distance, "slant_b_m": link_b.distance})
         self.engine.schedule(arrival_t, "pairs_arrival", self._on_deposit,
-                             {"session_id": sess.id, "pair_ids": pair_ids,
-                              "final": sess.distribution_done})
+                             {"session_id": sess.id, "pair_ids": pair_ids})
         if not sess.distribution_done:
             self.engine.schedule(now + n / self.source_rate_hz,
                                  "distribution_batch", self._on_batch,
@@ -460,15 +446,13 @@ class Network:
             return
         now = self.engine.now
         pair_ids = ev.payload["pair_ids"]
-        space = min(sess.pool_a.space(), sess.pool_b.space())
-        accepted = pair_ids[:max(0, space)]
-        sess.pool_a.deposit_raw(accepted, now)
-        sess.pool_b.deposit_raw(accepted, now)
+        accepted = sess.pool.deposit_raw(pair_ids, now)
         sess.pairs_survived += len(accepted)
         self._emit(sess.id, "pairs_deposited",
                    {"count": len(accepted), "dropped": len(pair_ids) - len(accepted),
-                    "pair_ids": accepted, "created_at": now})
-        if ev.payload["final"] or (sess.distribution_done and sess.pending_deposits == 0):
+                    "pair_ids": list(accepted), "created_at": now})
+        # arrivals keep emission order, so no deposit follows this one
+        if sess.distribution_done and sess.pending_deposits == 0:
             self._start_distillation(sess)
 
     # -- step 4: distillation --------------------------------------------------
@@ -476,14 +460,14 @@ class Network:
     def _start_distillation(self, sess: Session) -> None:
         now = self.engine.now
         self._transition(sess, Phase.DISTILLING)
-        raw = sess.pool_a.raw_entries()
-        if len(raw) == 0:
+        raw_count = len(sess.pool)   # only raw pairs are held before distilling
+        if raw_count == 0:
             self._fail(sess, Failure.INSUFFICIENT_ENTANGLEMENT)
             return
         rtt = 2.0 * self._ground_chord(sess, now) / geom.C_LIGHT
         completion_t = now + sess.policy.rounds * rtt
         self._emit(sess.id, "distill_started",
-                   {"raw_count": len(raw), "rounds": sess.policy.rounds,
+                   {"raw_count": raw_count, "rounds": sess.policy.rounds,
                     "rtt_s": rtt, "completion_t": completion_t})
         self.engine.schedule(completion_t, "distill_completion",
                              self._on_distill_complete, {"session_id": sess.id})
@@ -507,24 +491,21 @@ class Network:
         if sess.phase in TERMINAL_PHASES:
             return
         now = self.engine.now
-        fresh_a = {e.pair_id for e in sess.pool_a.fresh_raw(now)}
-        fresh_b = {e.pair_id for e in sess.pool_b.fresh_raw(now)}
-        valid_ids = sorted(fresh_a & fresh_b)
+        valid_ids = sess.pool.fresh_raw(now)
         yield_rate = self._session_yield_rate(sess)
         sess.yield_rate_used = yield_rate
         m = distilled_count(len(valid_ids), yield_rate)
         if len(valid_ids) == 0 or m == 0:
             self._fail(sess, Failure.INSUFFICIENT_ENTANGLEMENT)
             return
-        distilled_ids = list(range(self._next_pair_id, self._next_pair_id + m))
+        distilled_ids = range(self._next_pair_id, self._next_pair_id + m)
         self._next_pair_id += m
-        sess.pool_a.replace_raw_with_distilled(valid_ids, distilled_ids, now)
-        sess.pool_b.replace_raw_with_distilled(valid_ids, distilled_ids, now)
+        sess.pool.replace_raw_with_distilled(distilled_ids, now)
         sess.distilled_created += m
         self._emit(sess.id, "distill_completed",
                    {"n_valid": len(valid_ids), "distilled": m,
                     "yield_rate": yield_rate, "raw_consumed_ids": valid_ids,
-                    "distilled_ids": distilled_ids, "completion_t": now})
+                    "distilled_ids": list(distilled_ids), "completion_t": now})
         self._transition(sess, Phase.TELEPORTING)
         self.engine.schedule(now, "teleport", self._on_teleport,
                              {"session_id": sess.id})
@@ -538,11 +519,8 @@ class Network:
         now = self.engine.now
         self._emit(sess.id, "teleport_started",
                    {"requested": sess.qubits_requested})
-        consumed_a = sess.pool_a.consume_distilled(now, sess.qubits_requested)
-        consumed_b = sess.pool_b.consume_distilled(now, sess.qubits_requested)
-        if consumed_a != consumed_b:
-            raise RuntimeError("pair inventories diverged between stations")
-        delivered = len(consumed_a)
+        consumed = sess.pool.consume_distilled(now, sess.qubits_requested)
+        delivered = len(consumed)
         sess.ebits_consumed += delivered
         sess.qubits_delivered += delivered
         sess.classical_bits += 2 * delivered
@@ -550,7 +528,7 @@ class Network:
         self._emit(sess.id, "teleport_completed",
                    {"requested": sess.qubits_requested, "delivered": delivered,
                     "classical_bits": 2 * delivered,
-                    "consumed_pair_ids": consumed_a, "consume_t": now,
+                    "consumed_pair_ids": consumed, "consume_t": now,
                     "delivery_t": delivery_t})
         if delivered < sess.qubits_requested:
             self._fail(sess, Failure.INSUFFICIENT_ENTANGLEMENT)

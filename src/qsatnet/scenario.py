@@ -145,8 +145,8 @@ def load_scenario(path: str) -> Scenario:
         min_elevation=math.radians(_get(parser, "scenario", "min_elevation_deg",
                                         float, default=10.0)),
     )
-    if scenario.t_end < 0:
-        raise ConfigError("t_end must be >= 0", "scenario", "t_end")
+    if not (math.isfinite(scenario.t_end) and scenario.t_end >= 0):
+        raise ConfigError("t_end must be finite and >= 0", "scenario", "t_end")
 
     if parser.has_section("channel"):
         scenario.wavelength = _get(parser, "channel", "wavelength_m", float,
@@ -257,6 +257,14 @@ def load_scenario(path: str) -> Scenario:
         if scenario.protocol.pairs_target < 1:
             raise ConfigError("pairs_target must be >= 1", "protocol",
                               "pairs_target")
+        batch_size = scenario.protocol.batch_size
+        if batch_size is not None and batch_size < 1:
+            raise ConfigError("batch_size must be >= 1", "protocol",
+                              "batch_size")
+        rate = scenario.protocol.source_rate_hz
+        if not (math.isfinite(rate) and rate > 0):
+            raise ConfigError("source_rate_hz must be finite and > 0",
+                              "protocol", "source_rate_hz")
 
     if not scenario.stations:
         raise ConfigError("no [station.*] sections defined")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -30,6 +31,19 @@ class TestRun:
         run_cli(["run", EXAMPLE, "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("extra, digest", [
+        ("", "33e2e5cf68a5a22e1289f8b9f3477b8bd7b99d239dccdb7a8a4b4cf2076ad902"),
+        ("batch_size = 100\n",
+         "2ae30b9387454f2d7c1d9f5ae08fb8be4c310f0261d35223f88d0768daee944f"),
+    ])
+    def test_trace_bytes_pinned(self, tmp_path, extra, digest):
+        # the bundled example, one batch and 100-pair batches; the example
+        # file ends inside [protocol]
+        scenario, out = tmp_path / "s.ini", tmp_path / "trace.jsonl"
+        scenario.write_text(Path(EXAMPLE).read_text() + extra)
+        assert run_cli(["run", str(scenario), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_seed_override_changes_trace(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run_cli(["run", EXAMPLE, "--output", str(a)])
@@ -44,6 +58,13 @@ class TestRun:
 
     def test_missing_file_exits_2(self):
         assert run_cli(["run", "/does/not/exist.ini"]) == 2
+
+    def test_zero_batch_size_exits_2(self, tmp_path, capsys):
+        # zero-pair batches would reschedule at the same t forever
+        bad = tmp_path / "bad.ini"
+        bad.write_text(Path(EXAMPLE).read_text() + "batch_size = 0\n")
+        assert run_cli(["run", str(bad)]) == 2
+        assert "batch_size" in capsys.readouterr().err
 
 
 class TestRatesSweep:
@@ -90,6 +111,9 @@ class TestRatesSweep:
                         "--waist-grid", "0.1:0.5", "--rx-grid", "0.2"]) == 2
         assert run_cli(["rates-sweep", "--distance", "-5",
                         "--waist-grid", "0.1", "--rx-grid", "0.2"]) == 2
+        for grid in ("0", "-0.5", "0.1,0", "0:1:3", "nan", "inf"):
+            assert run_cli(["rates-sweep", "--distance", "1e6",
+                            "--waist-grid", "0.1", "--rx-grid", grid]) == 2
 
     def test_jsonl_format(self, tmp_path):
         out = tmp_path / "sweep.jsonl"
@@ -207,6 +231,12 @@ class TestPacketCli:
         bad["requesting_station_id"] = 2**40
         src.write_text(json.dumps(bad))
         assert run_cli(["packet", "encode", "--input", str(src)]) == 2
+        for spec in ([1, 2], "frame", {**self.packet_json(), "error_corr_hex": "zz"},
+                     {**self.packet_json(), "requesting_station_id": "one"}):
+            src.write_text(json.dumps(spec))
+            assert run_cli(["packet", "encode", "--input", str(src)]) == 2
+        missing = tmp_path / "missing.json"
+        assert run_cli(["packet", "encode", "--input", str(missing)]) == 2
 
     def test_encode_deterministic(self, tmp_path):
         src = tmp_path / "packet.json"

@@ -119,6 +119,20 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_scenario(write_scenario(tmp_path, body))
 
+    @pytest.mark.parametrize("field, value", [
+        ("t_end", "nan"), ("t_end", "inf"),
+        ("batch_size", "0"), ("batch_size", "-5"),
+        ("source_rate_hz", "0"), ("source_rate_hz", "-1"),
+        ("source_rate_hz", "nan"), ("source_rate_hz", "inf"),
+    ])
+    def test_out_of_range_field_names_it(self, tmp_path, field, value):
+        if field == "t_end":
+            body = MINIMAL.replace("t_end = 1.0", f"t_end = {value}")
+        else:    # MINIMAL ends inside [protocol]
+            body = MINIMAL + f"{field} = {value}\n"
+        with pytest.raises(ConfigError, match=field):
+            load_scenario(write_scenario(tmp_path, body))
+
 
 class TestRunScenario:
     def test_bundled_example_completes(self):
