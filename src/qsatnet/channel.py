@@ -158,44 +158,43 @@ def sample_downlink(model: DownlinkGaussianTail, rng: RngStream,
     return float(eta) if n is None else eta
 
 
-def _rayleigh_from_uniform(u, sigma: float):
-    # inverse CDF; u in [0, 1) keeps the log argument in (0, 1]
-    return sigma * np.sqrt(-2.0 * np.log1p(-u))
+def fade_interval(model: UplinkPointingFade, t):
+    """Index k of the coherence interval [k*tau, (k+1)*tau) containing t:
+    an int for a float t, an int64 array for an array of times."""
+    k = np.floor(np.asarray(t, dtype=float) / model.fade_coherence_time)
+    if not np.all(np.abs(k) < 2.0**63):
+        raise ValueError("t must be finite and within 2**63 intervals of 0")
+    return int(k) if k.ndim == 0 else k.astype(np.int64)
 
 
-def _pointing_eta(model: UplinkPointingFade, r):
-    return model.eta_diffraction * np.exp(-2.0 * r**2 / model.beam_radius_at_rx**2)
+def _fades_at(model: UplinkPointingFade, rng: RngStream, intervals):
+    """Transmittances of the coherence intervals with the given indices."""
+    if model.sigma_wander == 0.0:
+        return np.full(np.shape(intervals), model.eta_diffraction)
+    u = rng.uniforms_at(intervals)
+    # Rayleigh inverse CDF; u in [0, 1) keeps the log argument in (0, 1]
+    r = model.sigma_wander * np.sqrt(-2.0 * np.log1p(-u))
+    # C pow(r, 2.0), as pinned; r**2, r*r and np.square round differently
+    return model.eta_diffraction * np.exp(
+        -2.0 * np.float_power(r, 2.0) / model.beam_radius_at_rx**2)
 
 
-def fade_interval(model: UplinkPointingFade, t: float) -> int:
-    """Index k of the coherence interval [k*tau, (k+1)*tau) containing t."""
-    return int(math.floor(t / model.fade_coherence_time))
-
-
-def sample_uplink(model: UplinkPointingFade, rng: RngStream, t: float) -> float:
-    """Block-fading transmittance at time t.
+def sample_uplink(model: UplinkPointingFade, rng: RngStream, t):
+    """Block-fading transmittance at time t, a float or an array of times.
 
     The value is constant within each coherence interval and is a pure
     function of (stream key, interval index), so any two calls landing in
-    the same interval agree exactly.
+    the same interval agree exactly.  A float t gives a float.
     """
-    if model.sigma_wander == 0.0:
-        return model.eta_diffraction
-    u = rng.uniform_at(fade_interval(model, t))
-    r = _rayleigh_from_uniform(u, model.sigma_wander)
-    return float(_pointing_eta(model, r))
+    eta = _fades_at(model, rng, fade_interval(model, t))
+    return float(eta) if np.ndim(t) == 0 else eta
 
 
 def uplink_interval_samples(model: UplinkPointingFade, rng: RngStream,
                             n: int) -> np.ndarray:
-    """Transmittances of coherence intervals 0 .. n-1 (vectorized).
-
-    Matches sample_uplink at t = k * fade_coherence_time for each k.
-    """
-    if model.sigma_wander == 0.0:
-        return np.full(int(n), model.eta_diffraction)
-    u = rng.uniforms_at(0, int(n))
-    return _pointing_eta(model, _rayleigh_from_uniform(u, model.sigma_wander))
+    """Transmittances of coherence intervals 0 .. n-1: the values that
+    sample_uplink gives at every t with fade_interval(t) = k."""
+    return _fades_at(model, rng, np.arange(int(n)))
 
 
 def mean_uplink_transmittance(model: UplinkPointingFade) -> float:

@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -58,6 +59,19 @@ def _parse_grid(spec: str) -> list:
     return values
 
 
+def _check_flags(args, positive=(), nonnegative=()) -> None:
+    """Named numeric flags must be finite and > 0, or >= 0; None is unset."""
+    for name in positive + nonnegative:
+        v, strict = getattr(args, name), name in positive
+        if v is not None and not (math.isfinite(v) and (v > 0 if strict else v >= 0)):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite and "
+                             f"{'>' if strict else '>='} 0, got {v}")
+
+
+def _read_input(path: Optional[str]) -> bytes:
+    return sys.stdin.buffer.read() if path is None else Path(path).read_bytes()
+
+
 def _open_output(path: Optional[str]):
     if path is None or path == "-":
         return sys.stdout, False
@@ -94,12 +108,7 @@ def _cmd_rates_sweep(args) -> int:
     try:
         waists = _parse_grid(args.waist_grid)
         rx = _parse_grid(args.rx_grid)
-        if args.distance <= 0:
-            raise ValueError(f"distance must be > 0, got {args.distance}")
-        if args.b < 0:
-            raise ValueError(f"b must be >= 0, got {args.b}")
-        if args.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {args.samples}")
+        _check_flags(args, ("distance", "wavelength", "samples"), ("b",))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -146,25 +155,23 @@ def _build_channel_model(args):
 
 def _cmd_channel_sample(args) -> int:
     try:
+        _check_flags(args, ("n", "t_step", "fade_coherence", "wavelength",
+                            "distance", "waist", "rx_radius", "beam_radius_rx"),
+                     ("b", "sigma_wander"))
         model = _build_channel_model(args)
-        if args.n < 1:
-            raise ValueError(f"n must be >= 1, got {args.n}")
     except (ValueError, ch.InfeasibleTargetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     seed = args.seed if args.seed is not None else 0
     rng = make_stream(seed, "channel-sample", args.model)
-    n = args.n
+    times = np.arange(args.n, dtype=float)
     if isinstance(model, ch.FixedDiffraction):
-        times = np.arange(n, dtype=float)
-        etas = np.full(n, model.eta)
+        etas = np.full(args.n, model.eta)
     elif isinstance(model, ch.DownlinkGaussianTail):
-        times = np.arange(n, dtype=float)
-        etas = np.asarray(ch.sample_downlink(model, rng, n))
+        etas = np.asarray(ch.sample_downlink(model, rng, args.n))
     else:
-        step = model.fade_coherence_time if args.t_step is None else args.t_step
-        times = np.arange(n, dtype=float) * step
-        etas = np.array([ch.sample_uplink(model, rng, t) for t in times])
+        times *= model.fade_coherence_time if args.t_step is None else args.t_step
+        etas = ch.sample_uplink(model, rng, times)
     out, close = _open_output(args.output)
     try:
         rows = ((float(t), float(e)) for t, e in zip(times, etas))
@@ -184,12 +191,7 @@ def _cmd_channel_sample(args) -> int:
 
 def _cmd_packet_encode(args) -> int:
     try:
-        if args.input is None:
-            raw = sys.stdin.buffer.read()
-        else:
-            with open(args.input, "rb") as fh:
-                raw = fh.read()
-        spec = json.loads(raw.decode("utf-8"))
+        spec = json.loads(_read_input(args.input).decode("utf-8"))
         if not isinstance(spec, dict):
             raise TypeError(f"expected a JSON object, got {type(spec).__name__}")
         data = pk.encode(pk.packet_from_dict(spec))
@@ -211,17 +213,14 @@ def _cmd_packet_encode(args) -> int:
 
 
 def _cmd_packet_decode(args) -> int:
-    if args.raw:
-        data = sys.stdin.buffer.read() if args.input is None else open(
-            args.input, "rb").read()
-    else:
-        text = sys.stdin.read() if args.input is None else open(
-            args.input, "r", encoding="utf-8").read()
-        try:
-            data = bytes.fromhex("".join(text.split()))
-        except ValueError as exc:
-            print(f"config error: bad hex input: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    try:
+        data = _read_input(args.input)
+        if not args.raw:
+            data = bytes.fromhex("".join(data.decode("utf-8").split()))
+    except (OSError, ValueError) as exc:
+        # unreadable input, non-UTF-8 text or bad hex
+        print(f"config error: bad frame input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         decoded = pk.decode(data)
     except pk.PacketError as exc:

@@ -43,7 +43,7 @@ def _mix64(x: int) -> int:
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
+    """``_mix64`` over a uint64 array, in place."""
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MIX1)
     x ^= x >> np.uint64(27)
@@ -85,26 +85,26 @@ class RngStream:
         self.key = key & _MASK64
         self._counter = 0
 
-    def _raw(self, start: int, n: int) -> np.ndarray:
-        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        return _mix64_array(np.uint64(self.key) + idx * np.uint64(_GOLDEN))
+    def _uniforms(self, idx: np.ndarray) -> np.ndarray:
+        """Uniforms in [0, 1) at the uint64 counter indices idx (overwritten)."""
+        idx *= np.uint64(_GOLDEN)
+        idx += np.uint64((self.key + _GOLDEN) & _MASK64)
+        _mix64_array(idx)
+        idx >>= np.uint64(11)
+        return idx * 2.0**-53
 
     def random(self, n: Optional[int] = None):
         """Uniform draws in [0, 1); one counter slot per value."""
-        if n is None:
-            u = self.uniform_at(self._counter)
-            self._counter += 1
-            return u
-        m = int(n)
-        u = (self._raw(self._counter, m) >> np.uint64(11)) * 2.0**-53
+        c, m = self._counter, 1 if n is None else int(n)
         self._counter += m
-        return u
+        u = self._uniforms(np.arange(c, c + m, dtype=np.uint64))
+        return float(u[0]) if n is None else u
 
     def standard_normal(self, n: Optional[int] = None):
         """Normal draws via Box-Muller; two counter slots per value."""
-        m = 1 if n is None else int(n)
-        u = (self._raw(self._counter, 2 * m) >> np.uint64(11)) * 2.0**-53
+        c, m = self._counter, 1 if n is None else int(n)
         self._counter += 2 * m
+        u = self._uniforms(np.arange(c, c + 2 * m, dtype=np.uint64))
         z = np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
         return float(z[0]) if n is None else z
 
@@ -113,9 +113,9 @@ class RngStream:
         x = _mix64((self.key + ((index + 1) * _GOLDEN)) & _MASK64)
         return (x >> 11) * 2.0**-53
 
-    def uniforms_at(self, start: int, n: int) -> np.ndarray:
-        """Vectorized ``uniform_at`` over indices start .. start+n-1."""
-        return (self._raw(start, n) >> np.uint64(11)) * 2.0**-53
+    def uniforms_at(self, index) -> np.ndarray:
+        """Vectorized ``uniform_at`` over an integer index array."""
+        return self._uniforms(np.asarray(index, dtype=np.int64).astype(np.uint64))
 
 
 def make_stream(root_seed: int, *parts) -> RngStream:

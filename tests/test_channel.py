@@ -140,12 +140,28 @@ class TestUplinkSampling:
         assert len(vals) > 90
 
     def test_interval_samples_match_time_path(self):
+        # sample_uplink at any times reads interval fade_interval(t) of the
+        # interval path; at t = k * tau that index is not always k
         m = self.model()
         rng = make_stream(9, "ul")
-        bulk = ch.uplink_interval_samples(m, rng, 64)
-        timed = [ch.sample_uplink(m, rng, k * m.fade_coherence_time)
-                 for k in range(64)]
-        assert np.array_equal(bulk, np.array(timed))
+        n = 100_000
+        times = np.arange(n, dtype=float) * m.fade_coherence_time
+        bulk = ch.uplink_interval_samples(m, rng, n)
+        timed = ch.sample_uplink(m, rng, times)
+        assert np.array_equal(timed, bulk[ch.fade_interval(m, times)])
+        scalar = [ch.sample_uplink(m, rng, t) for t in times[:64]]
+        assert np.array_equal(bulk[:64], np.array(scalar))
+        assert scalar == list(timed[:64])
+
+    def test_fade_interval_scalar_and_array(self):
+        m = self.model()
+        assert ch.fade_interval(m, 0.0025) == 2
+        assert isinstance(ch.fade_interval(m, 0.0025), int)
+        assert isinstance(ch.sample_uplink(m, make_stream(9, "ul"), 0.0025), float)
+        assert list(ch.fade_interval(m, np.array([0.0, 0.0025, -0.0005]))) == [0, 2, -1]
+        for bad in (math.nan, math.inf, 1e20):
+            with pytest.raises(ValueError):
+                ch.fade_interval(m, bad)
 
     def test_mean_matches_closed_form_and_quadrature(self):
         m = self.model(sigma=0.3, eta_diff=0.4, w=1.0)

@@ -114,6 +114,14 @@ class TestRatesSweep:
         for grid in ("0", "-0.5", "0.1,0", "0:1:3", "nan", "inf"):
             assert run_cli(["rates-sweep", "--distance", "1e6",
                             "--waist-grid", "0.1", "--rx-grid", grid]) == 2
+        for flags in (["--distance", "1e6", "--wavelength", "-1"],
+                      ["--distance", "nan"], ["--distance", "inf"],
+                      ["--distance", "1e6", "--b", "nan"],
+                      ["--distance", "1e6", "--b", "-0.1"],
+                      ["--distance", "1e6", "--samples", "0"]):
+            # the later --samples wins
+            assert run_cli(["rates-sweep", "--waist-grid", "0.1", "--rx-grid",
+                            "0.2", "--samples", "10", *flags]) == 2, flags
 
     def test_jsonl_format(self, tmp_path):
         out = tmp_path / "sweep.jsonl"
@@ -167,6 +175,45 @@ class TestChannelSample:
                 for line in out.read_text().splitlines()[1:]]
         mean_db = -10.0 * math.log10(sum(etas) / len(etas))
         assert mean_db == pytest.approx(20.0, abs=0.2)
+
+    UPLINK = ["channel-sample", "--model", "uplink", "--eta-diffraction", "0.036",
+              "--beam-radius-rx", "1.1", "--calibrate-target-db", "20",
+              "--n", "5000", "--seed", "7"]
+
+    @pytest.mark.parametrize("args, digest", [
+        (UPLINK, "7671e722fcfefd3001973c418383b3d83dbc7f368452adc90ee385419420a9fa"),
+        (UPLINK + ["--t-step", "3.7e-4"],
+         "97da3961ade7b168e2df5db7aabb3a0818ea952bd12d392f67eb879b243c3711"),
+        (UPLINK + ["--t-step", "0.25"],
+         "5d132968484cff76041ac1893011db22013853d009520acb4b3cfd93bfa9cb31"),
+        (["channel-sample", "--model", "uplink", "--sigma-wander", "0.3",
+          "--eta-diffraction", "0.4", "--beam-radius-rx", "1.0",
+          "--fade-coherence", "7e-4", "--t-step", "1e-3", "--n", "5000",
+          "--seed", "3", "--format", "jsonl"],
+         "f23cdbd72438173a7b208c008d1f268ca5d6a86dff0bfea09289894e1d68a203"),
+    ])
+    def test_uplink_bytes_pinned(self, tmp_path, args, digest):
+        out = tmp_path / "ul.out"
+        assert run_cli(args + ["--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("model, flag, value", [
+        ("uplink", "--t-step", "nan"), ("uplink", "--t-step", "inf"),
+        ("uplink", "--t-step", "-1"), ("uplink", "--t-step", "0"),
+        ("uplink", "--fade-coherence", "nan"),
+        ("uplink", "--beam-radius-rx", "-1"),
+        ("uplink", "--sigma-wander", "nan"),
+        ("fixed", "--distance", "nan"), ("fixed", "--wavelength", "-1"),
+        ("fixed", "--waist", "inf"), ("fixed", "--rx-radius", "0"),
+        ("downlink", "--b", "nan"), ("downlink", "--b", "-0.1"),
+        ("downlink", "--n", "0"),
+    ])
+    def test_bad_numeric_flag_exits_2(self, tmp_path, capsys, model, flag, value):
+        out = tmp_path / "never.csv"
+        assert run_cli(["channel-sample", "--model", model, "--sigma-wander",
+                        "0.3", "--n", "5", flag, value, "--output", str(out)]) == 2
+        assert f"config error: {flag} " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infeasible_calibration_exits_2(self):
         assert run_cli(["channel-sample", "--model", "uplink",
@@ -224,6 +271,15 @@ class TestPacketCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CrcMismatch"
         assert isinstance(err["offset"], int)
+
+    def test_decode_unreadable_input_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.hex")
+        assert run_cli(["packet", "decode", "--input", missing]) == 2
+        assert run_cli(["packet", "decode", "--raw", "--input", missing]) == 2
+        latin1 = tmp_path / "latin1.hex"
+        latin1.write_bytes(b"5150\xff01")
+        assert run_cli(["packet", "decode", "--input", str(latin1)]) == 2
+        assert capsys.readouterr().err.count("config error: bad frame input") == 3
 
     def test_encode_invalid_packet_exits_2(self, tmp_path):
         src = tmp_path / "packet.json"

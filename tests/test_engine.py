@@ -123,7 +123,14 @@ def test_indexed_access_matches_sequential():
     seq = s.random(50)
     t = make_stream(9, "indexed")
     assert [t.uniform_at(i) for i in range(50)] == list(seq)
-    assert np.array_equal(make_stream(9, "indexed").uniforms_at(0, 50), seq)
+    assert np.array_equal(make_stream(9, "indexed").uniforms_at(np.arange(50)),
+                          seq)
+
+
+def test_gathered_indices_match_scalar_path():
+    s = make_stream(9, "gather")
+    idx = [7, 0, 7, 2**40 + 3, 2**63 - 1, -1, -2**63, 12]
+    assert list(s.uniforms_at(np.array(idx))) == [s.uniform_at(i) for i in idx]
 
 
 def test_scalar_draws_match_vector_draws():

@@ -3,8 +3,28 @@ import struct
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsatnet import packet as pk
+
+HEAD = pk.MAGIC + bytes([pk.VERSION])
+FRAMES = st.builds(
+    lambda q, ec: pk.encode(pk.Packet(
+        1, 2, 3, qubits=tuple(pk.QubitDescriptor(i) for i in range(q)),
+        error_corr=ec)),
+    st.integers(0, 20), st.binary(max_size=32))
+# arbitrary bytes; bytes past the magic and version checks; bytes that also
+# pass the flags check; and encoded frames with a span of bytes replaced by
+# other bytes (an edit of 0 bytes leaves the frame valid)
+DECODE_INPUTS = st.one_of(
+    st.binary(max_size=256),
+    st.binary(max_size=256).map(lambda b: HEAD + b),
+    st.tuples(st.integers(0, 3), st.binary(max_size=256)).map(
+        lambda fb: HEAD + bytes([fb[0]]) + fb[1]),
+    st.tuples(FRAMES, st.integers(0, 260), st.integers(0, 8),
+              st.binary(max_size=8)).map(
+        lambda e: e[0][:e[1]] + e[3] + e[0][e[1] + e[2]:]),
+)
 
 
 def random_packet(rng: random.Random) -> pk.Packet:
@@ -152,6 +172,15 @@ class TestDecode:
                 pk.decode(blob)
             except pk.PacketError:
                 pass
+
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    @given(DECODE_INPUTS)
+    def test_decode_is_total(self, data):
+        try:
+            assert isinstance(pk.decode(data), pk.Packet)
+        except pk.PacketError as err:
+            assert type(err) is not pk.PacketError
+            assert 0 <= err.offset <= len(data)
 
     def test_random_mutations_report_structured_errors(self):
         rng = random.Random(4242)
