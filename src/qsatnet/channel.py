@@ -43,6 +43,13 @@ def _check_eta(eta: float, name: str = "eta") -> float:
     return float(eta)
 
 
+def _check_real(value: float, name: str, strict: bool = True) -> None:
+    """value must be finite and > 0, or finite and >= 0 when not strict."""
+    if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} "
+                         f"0, got {value}")
+
+
 @dataclass(frozen=True)
 class BeamParams:
     """Gaussian beam launched with waist w0 (= transmit aperture radius)."""
@@ -50,10 +57,8 @@ class BeamParams:
     wavelength: float = DEFAULT_WAVELENGTH
 
     def __post_init__(self):
-        if self.w0 <= 0:
-            raise ValueError(f"w0 must be > 0, got {self.w0}")
-        if self.wavelength <= 0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
+        _check_real(self.w0, "w0")
+        _check_real(self.wavelength, "wavelength")
 
     @property
     def rayleigh_range(self) -> float:
@@ -103,8 +108,8 @@ class FixedDiffraction:
     distance: float
 
     def __post_init__(self):
-        if self.rx_radius <= 0 or self.distance <= 0:
-            raise ValueError("rx_radius and distance must be > 0")
+        _check_real(self.rx_radius, "rx_radius")
+        _check_real(self.distance, "distance")
 
     @property
     def eta(self) -> float:
@@ -119,8 +124,7 @@ class DownlinkGaussianTail:
 
     def __post_init__(self):
         _check_eta(self.eta0, "eta0")
-        if self.b < 0:
-            raise ValueError(f"b must be >= 0, got {self.b}")
+        _check_real(self.b, "b", strict=False)
 
 
 @dataclass(frozen=True)
@@ -133,12 +137,9 @@ class UplinkPointingFade:
 
     def __post_init__(self):
         _check_eta(self.eta_diffraction, "eta_diffraction")
-        if self.beam_radius_at_rx <= 0:
-            raise ValueError("beam_radius_at_rx must be > 0")
-        if self.sigma_wander < 0:
-            raise ValueError(f"sigma_wander must be >= 0, got {self.sigma_wander}")
-        if self.fade_coherence_time <= 0:
-            raise ValueError("fade_coherence_time must be > 0")
+        _check_real(self.beam_radius_at_rx, "beam_radius_at_rx")
+        _check_real(self.sigma_wander, "sigma_wander", strict=False)
+        _check_real(self.fade_coherence_time, "fade_coherence_time")
 
 
 OpticalChannelModel = Union[FixedDiffraction, DownlinkGaussianTail, UplinkPointingFade]
@@ -216,8 +217,10 @@ def calibrate_uplink_sigma(eta_diffraction: float, beam_radius_at_rx: float,
     target is below the pure-diffraction loss.
     """
     _check_eta(eta_diffraction, "eta_diffraction")
-    if beam_radius_at_rx <= 0:
-        raise ValueError("beam_radius_at_rx must be > 0")
+    _check_real(beam_radius_at_rx, "beam_radius_at_rx")
+    if not math.isfinite(target_mean_loss_db):
+        raise ValueError(f"target_mean_loss_db must be finite, "
+                         f"got {target_mean_loss_db}")
     floor_db = db_from_eta(eta_diffraction)
     if target_mean_loss_db < floor_db:
         raise InfeasibleTargetError(

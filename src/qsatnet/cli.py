@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -72,10 +73,24 @@ def _read_input(path: Optional[str]) -> bytes:
     return sys.stdin.buffer.read() if path is None else Path(path).read_bytes()
 
 
-def _open_output(path: Optional[str]):
+class OutputError(OSError):
+    """The --output file cannot be opened."""
+
+
+@contextmanager
+def _output(path: Optional[str], binary: bool = False):
+    """The --output file, or stdout when it is absent or "-"; a file is
+    closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout.buffer if binary else sys.stdout
+        return
+    try:
+        out = (open(path, "wb") if binary else
+               open(path, "w", encoding="utf-8", newline=""))
+    except OSError as exc:
+        raise OutputError(f"--output cannot be opened: {exc}") from exc
+    with out:
+        yield out
 
 
 def _jsonl(record: dict) -> str:
@@ -90,17 +105,14 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out, close = _open_output(args.output)
-    try:
-        network, summary = run_scenario(scenario,
-                                        trace_sink=lambda r: out.write(_jsonl(r)))
-        out.write(_jsonl({"summary": summary}))
-    except Exception as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    finally:
-        if close:
-            out.close()
+    with _output(args.output) as out:
+        try:
+            network, summary = run_scenario(
+                scenario, trace_sink=lambda r: out.write(_jsonl(r)))
+            out.write(_jsonl({"summary": summary}))
+        except Exception as exc:
+            print(f"runtime failure: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -112,12 +124,11 @@ def _cmd_rates_sweep(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    surface = rates.sweep(waists, rx, args.distance, args.b,
-                          wavelength=args.wavelength, n_samples=args.samples,
-                          seed=args.seed if args.seed is not None else 0,
-                          parallel=args.parallel)
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
+        surface = rates.sweep(waists, rx, args.distance, args.b,
+                              wavelength=args.wavelength, n_samples=args.samples,
+                              seed=args.seed if args.seed is not None else 0,
+                              parallel=args.parallel)
         if args.format == "jsonl":
             for p in surface.points():
                 out.write(_jsonl({"tx_waist_m": p.tx_waist,
@@ -129,9 +140,6 @@ def _cmd_rates_sweep(args) -> int:
             for p in surface.points():
                 out.write(f"{p.tx_waist!r},{p.rx_radius!r},{p.distance!r},"
                           f"{p.b!r},{p.mean_rate!r}\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -157,23 +165,23 @@ def _cmd_channel_sample(args) -> int:
     try:
         _check_flags(args, ("n", "t_step", "fade_coherence", "wavelength",
                             "distance", "waist", "rx_radius", "beam_radius_rx"),
-                     ("b", "sigma_wander"))
+                     ("b", "sigma_wander", "calibrate_target_db"))
         model = _build_channel_model(args)
     except (ValueError, ch.InfeasibleTargetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    seed = args.seed if args.seed is not None else 0
-    rng = make_stream(seed, "channel-sample", args.model)
-    times = np.arange(args.n, dtype=float)
-    if isinstance(model, ch.FixedDiffraction):
-        etas = np.full(args.n, model.eta)
-    elif isinstance(model, ch.DownlinkGaussianTail):
-        etas = np.asarray(ch.sample_downlink(model, rng, args.n))
-    else:
-        times *= model.fade_coherence_time if args.t_step is None else args.t_step
-        etas = ch.sample_uplink(model, rng, times)
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
+        seed = args.seed if args.seed is not None else 0
+        rng = make_stream(seed, "channel-sample", args.model)
+        times = np.arange(args.n, dtype=float)
+        if isinstance(model, ch.FixedDiffraction):
+            etas = np.full(args.n, model.eta)
+        elif isinstance(model, ch.DownlinkGaussianTail):
+            etas = np.asarray(ch.sample_downlink(model, rng, args.n))
+        else:
+            times *= (model.fade_coherence_time if args.t_step is None
+                      else args.t_step)
+            etas = ch.sample_uplink(model, rng, times)
         rows = ((float(t), float(e)) for t, e in zip(times, etas))
         if args.format == "jsonl":
             for t, e in rows:
@@ -183,9 +191,6 @@ def _cmd_channel_sample(args) -> int:
             out.write("t,eta,loss_db\n")
             for t, e in rows:
                 out.write(f"{t!r},{e!r},{ch.db_from_eta(e)!r}\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -202,13 +207,8 @@ def _cmd_packet_encode(args) -> int:
         # unreadable input, malformed JSON or hex, missing or mistyped fields
         print(f"config error: bad packet description: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.raw:
-        sys.stdout.buffer.write(data)
-    else:
-        out, close = _open_output(args.output)
-        out.write(data.hex() + "\n")
-        if close:
-            out.close()
+    with _output(args.output, binary=args.raw) as out:
+        out.write(data if args.raw else data.hex() + "\n")
     return EXIT_OK
 
 
@@ -228,11 +228,9 @@ def _cmd_packet_decode(args) -> int:
                   "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return EXIT_RUNTIME
-    out, close = _open_output(args.output)
-    out.write(json.dumps(pk.packet_to_dict(decoded), sort_keys=True,
-                         indent=2) + "\n")
-    if close:
-        out.close()
+    with _output(args.output) as out:
+        out.write(json.dumps(pk.packet_to_dict(decoded), sort_keys=True,
+                             indent=2) + "\n")
     return EXIT_OK
 
 
@@ -242,17 +240,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Satellite-terrestrial quantum network simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="root seed for all random streams")
+    def add_common(p, seed=True, tabular=True):
+        """--output, plus --seed and --format where the subcommand reads them."""
         p.add_argument("--output", "-o", default=None,
                        help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
-                       help="tabular output format")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="root seed for all random streams")
+        if tabular:
+            p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
+                           help="tabular output format")
 
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("scenario", help="path to the scenario INI file")
-    add_common(p_run)
+    add_common(p_run, tabular=False)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("rates-sweep",
@@ -313,15 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--input", "-i", default=None,
                        help="JSON file (default: stdin)")
     p_enc.add_argument("--raw", action="store_true",
-                       help="write raw binary to stdout instead of hex")
-    add_common(p_enc)
+                       help="write raw binary instead of hex")
+    add_common(p_enc, seed=False, tabular=False)
     p_enc.set_defaults(func=_cmd_packet_encode)
     p_dec = pkt_sub.add_parser("decode", help="hex frame -> JSON description")
     p_dec.add_argument("--input", "-i", default=None,
                        help="hex file (default: stdin)")
     p_dec.add_argument("--raw", action="store_true",
                        help="read raw binary from stdin instead of hex")
-    add_common(p_dec)
+    add_common(p_dec, seed=False, tabular=False)
     p_dec.set_defaults(func=_cmd_packet_decode)
 
     return parser
@@ -329,7 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -93,13 +93,9 @@ class Satellite:
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """Instantaneous line-of-sight between two nodes.
-
-    elevation is defined only when one endpoint is a ground station.
-    """
+    """Instantaneous line-of-sight between two nodes."""
     distance: float
     propagation_delay: float
-    elevation: Optional[float] = None
 
 
 def satellite_position(sat: Satellite, t: float) -> np.ndarray:
@@ -150,28 +146,37 @@ def elevation_angle(ground_pos: np.ndarray, target_pos: np.ndarray) -> float:
     return math.asin(min(1.0, max(-1.0, sin_el)))
 
 
-def link_geometry(pos_a: np.ndarray, pos_b: np.ndarray,
-                  ground_end: Optional[np.ndarray] = None) -> LinkGeometry:
-    """Distance, light-time delay, and (for ground links) elevation.
-
-    ground_end, when given, must equal pos_a or pos_b and marks the station
-    endpoint from which elevation is measured.
-    """
+def link_geometry(pos_a: np.ndarray, pos_b: np.ndarray) -> LinkGeometry:
+    """Distance and light-time delay between two positions."""
     a = np.asarray(pos_a, dtype=float)
     b = np.asarray(pos_b, dtype=float)
     d = float(np.linalg.norm(b - a))
     if d == 0.0:
         raise ValueError("coincident points: link geometry undefined")
-    elevation = None
-    if ground_end is not None:
-        g = np.asarray(ground_end, dtype=float)
-        if np.array_equal(g, a):
-            elevation = elevation_angle(g, b)
-        elif np.array_equal(g, b):
-            elevation = elevation_angle(g, a)
-        else:
-            raise ValueError("ground_end must be one of the two endpoints")
-    return LinkGeometry(distance=d, propagation_delay=d / C_LIGHT, elevation=elevation)
+    return LinkGeometry(distance=d, propagation_delay=d / C_LIGHT)
+
+
+def best_satellite(candidates: Sequence[Satellite],
+                   ground_positions: Sequence[np.ndarray], t: float,
+                   min_elevation: float = DEFAULT_MIN_ELEVATION) -> Optional[int]:
+    """Id of the candidate maximizing its lowest elevation over the ground
+    positions.
+
+    Only candidates at or above min_elevation from every position qualify;
+    ties break to the lowest satellite id.  None when no candidate qualifies.
+    """
+    best_id = None
+    best_score = -math.inf
+    for sat in candidates:
+        pos_s = satellite_position(sat, t)
+        score = min(elevation_angle(g, pos_s) for g in ground_positions)
+        if score < min_elevation:
+            continue
+        if score > best_score or (score == best_score and
+                                  (best_id is None or sat.id < best_id)):
+            best_score = score
+            best_id = sat.id
+    return best_id
 
 
 def select_leo(candidates: Sequence[Satellite], gs_a: GroundStation,
@@ -187,19 +192,6 @@ def select_leo(candidates: Sequence[Satellite], gs_a: GroundStation,
     for sat in candidates:
         if sat.tier is not Tier.LEO:
             raise ValueError(f"candidate {sat.id} is not LEO tier")
-    pos_a = ground_position(gs_a, t, earth_rotation)
-    pos_b = ground_position(gs_b, t, earth_rotation)
-    best_id = None
-    best_score = -math.inf
-    for sat in candidates:
-        pos_s = satellite_position(sat, t)
-        el_a = elevation_angle(pos_a, pos_s)
-        el_b = elevation_angle(pos_b, pos_s)
-        if el_a < min_elevation or el_b < min_elevation:
-            continue
-        score = min(el_a, el_b)
-        if score > best_score or (score == best_score and
-                                  (best_id is None or sat.id < best_id)):
-            best_score = score
-            best_id = sat.id
-    return best_id
+    return best_satellite(candidates, [ground_position(gs_a, t, earth_rotation),
+                                       ground_position(gs_b, t, earth_rotation)],
+                          t, min_elevation)

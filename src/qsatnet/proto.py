@@ -156,25 +156,31 @@ class DistillationPolicy:
             raise ValueError("rounds must be >= 1")
         if self.yield_rate is not None and not 0.0 <= self.yield_rate <= 1.0:
             raise ValueError("yield_rate must be in [0, 1]")
+        if self.yield_samples < 1:
+            raise ValueError("yield_samples must be >= 1")
 
 
 def distilled_count(n_valid: int, yield_rate: float) -> int:
     return int(math.floor(n_valid * yield_rate))
 
 
+def two_arm_transmittance(model_a: ch.DownlinkGaussianTail,
+                          model_b: ch.DownlinkGaussianTail,
+                          rng_a: RngStream, rng_b: RngStream,
+                          n: int) -> np.ndarray:
+    """eta_a * eta_b for n pairs, each drawing one transmittance per arm."""
+    return (np.asarray(ch.sample_downlink(model_a, rng_a, n))
+            * np.asarray(ch.sample_downlink(model_b, rng_b, n)))
+
+
 def sample_pair_survival(model_a: ch.DownlinkGaussianTail,
                          model_b: ch.DownlinkGaussianTail,
                          rng_a: RngStream, rng_b: RngStream,
                          rng_survival: RngStream, n: int) -> np.ndarray:
-    """Per-pair survival mask for one distribution batch.
-
-    Each attempted pair draws an independent transmittance from each arm and
-    survives with probability eta_a * eta_b.
-    """
-    etas_a = np.asarray(ch.sample_downlink(model_a, rng_a, n))
-    etas_b = np.asarray(ch.sample_downlink(model_b, rng_b, n))
-    u = np.asarray(rng_survival.random(n))
-    return u < etas_a * etas_b
+    """Per-pair survival mask for one distribution batch: each attempted
+    pair survives with probability eta_a * eta_b."""
+    etas = two_arm_transmittance(model_a, model_b, rng_a, rng_b, n)
+    return np.asarray(rng_survival.random(n)) < etas
 
 
 @dataclass
@@ -190,12 +196,10 @@ class Session:
     geo_id: Optional[int] = None
     leo_id: Optional[int] = None
     pool: Optional[EbitPool] = None
-    remaining: int = 0
     pending_deposits: int = 0
     survivors_emitted: int = 0
     distribution_done: bool = False
-    eta0_a: float = 0.0
-    eta0_b: float = 0.0
+    arms: tuple = ()    # the last batch's downlink models to a and to b
     yield_rate_used: Optional[float] = None
     pairs_attempted: int = 0
     pairs_survived: int = 0
@@ -237,8 +241,9 @@ class Network:
         self.batch_size = batch_size
         self.source_rate_hz = source_rate_hz
         self.min_raw_pairs = min_raw_pairs
+        # records go to trace_sink when one is given, else into self.trace
         self.trace: list[dict] = []
-        self._trace_sink = trace_sink
+        self._record = trace_sink if trace_sink is not None else self.trace.append
         self.sessions: dict[int, Session] = {}
         self._next_session_id = 1
         self._next_pair_id = 1
@@ -261,9 +266,7 @@ class Network:
     def _emit(self, session_id: int, event: str, payload: dict) -> None:
         record = {"t": self.engine.now, "session_id": session_id,
                   "event": event, "payload": payload}
-        self.trace.append(record)
-        if self._trace_sink is not None:
-            self._trace_sink(record)
+        self._record(record)
 
     def _transition(self, sess: Session, new_phase: Phase) -> None:
         if (sess.phase, new_phase) not in ALLOWED_TRANSITIONS:
@@ -309,12 +312,13 @@ class Network:
         sess.rng_survival = self.engine.stream("proto", sess.id, "survival")
         self._transition(sess, Phase.REQUESTED)
 
-        geo_id = self._pick_geo(a_id, t0)
+        pos_a = self._station_pos(a_id, t0)
+        geos = [s for s in self.satellites.values() if s.tier is geom.Tier.GEO]
+        geo_id = geom.best_satellite(geos, [pos_a], t0, self.min_elevation)
         if geo_id is None:
             self._fail(sess, Failure.NO_COORDINATOR)
             return sess
         sess.geo_id = geo_id
-        pos_a = self._station_pos(a_id, t0)
         pos_geo = self._sat_pos(geo_id, t0)
         delay = geom.link_geometry(pos_a, pos_geo).propagation_delay
         arrive_t = t0 + delay
@@ -325,21 +329,6 @@ class Network:
         self.engine.schedule(arrive_t, "request_arrival", self._on_request_arrival,
                              {"session_id": sess.id})
         return sess
-
-    def _pick_geo(self, station_id: int, t: float) -> Optional[int]:
-        pos = self._station_pos(station_id, t)
-        best = None
-        best_el = -math.inf
-        for sat in self.satellites.values():
-            if sat.tier is not geom.Tier.GEO:
-                continue
-            el = geom.elevation_angle(pos, geom.satellite_position(sat, t))
-            if el < self.min_elevation:
-                continue
-            if el > best_el or (el == best_el and (best is None or sat.id < best)):
-                best_el = el
-                best = sat.id
-        return best
 
     # -- step 2: coordination ------------------------------------------------
 
@@ -376,33 +365,35 @@ class Network:
             return
         self._emit(sess.id, "leo_command_received", {"leo": sess.leo_id})
         self._transition(sess, Phase.DISTRIBUTING)
-        sess.remaining = sess.pairs_target
         self.engine.schedule(self.engine.now, "distribution_batch",
                              self._on_batch, {"session_id": sess.id})
 
-    def _arm(self, sess: Session, station_id: int, t: float) -> tuple:
-        leo = self.satellites[sess.leo_id]
-        pos_leo = self._sat_pos(sess.leo_id, t)
+    def _arm(self, leo: geom.Satellite, pos_leo: np.ndarray, station_id: int,
+             t: float) -> tuple:
+        """(downlink model, link, elevation) from the relay to one station."""
         pos_gs = self._station_pos(station_id, t)
-        link = geom.link_geometry(pos_gs, pos_leo, ground_end=pos_gs)
+        link = geom.link_geometry(pos_gs, pos_leo)
         eta0 = ch.diffraction_transmittance(
             ch.BeamParams(leo.aperture_radius, self.wavelength),
             self.stations[station_id].aperture_radius, link.distance)
         model = ch.DownlinkGaussianTail(eta0, self.downlink_b)
-        return model, link
+        return model, link, geom.elevation_angle(pos_gs, pos_leo)
 
     def _on_batch(self, ev: Event) -> None:
         sess = self.sessions[ev.payload["session_id"]]
         if sess.phase in TERMINAL_PHASES:
             return
         now = self.engine.now
-        model_a, link_a = self._arm(sess, sess.a_id, now)
-        model_b, link_b = self._arm(sess, sess.b_id, now)
-        if link_a.elevation < self.min_elevation or link_b.elevation < self.min_elevation:
+        leo = self.satellites[sess.leo_id]
+        pos_leo = geom.satellite_position(leo, now)
+        model_a, link_a, el_a = self._arm(leo, pos_leo, sess.a_id, now)
+        model_b, link_b, el_b = self._arm(leo, pos_leo, sess.b_id, now)
+        remaining = sess.pairs_target - sess.pairs_attempted
+        if min(el_a, el_b) < self.min_elevation:
             self._emit(sess.id, "link_lost",
                        {"leo": sess.leo_id,
                         "emitted_survivors": sess.survivors_emitted,
-                        "remaining": sess.remaining})
+                        "remaining": remaining})
             if sess.survivors_emitted >= self.min_raw_pairs:
                 sess.distribution_done = True
                 if sess.pending_deposits == 0:
@@ -411,21 +402,19 @@ class Network:
                 self._fail(sess, Failure.LINK_LOST)
             return
 
-        n = sess.remaining if self.batch_size is None else min(self.batch_size,
-                                                               sess.remaining)
+        n = remaining if self.batch_size is None else min(self.batch_size,
+                                                          remaining)
         survive = sample_pair_survival(model_a, model_b, sess.rng_arm_a,
                                        sess.rng_arm_b, sess.rng_survival, n)
         survivors = int(np.count_nonzero(survive))
         pair_ids = range(self._next_pair_id, self._next_pair_id + survivors)
         self._next_pair_id += survivors
         arrival_t = now + max(link_a.propagation_delay, link_b.propagation_delay)
-        sess.eta0_a = model_a.eta0
-        sess.eta0_b = model_b.eta0
+        sess.arms = (model_a, model_b)
         sess.pairs_attempted += n
-        sess.remaining -= n
         sess.pending_deposits += 1
         sess.survivors_emitted += survivors
-        if sess.remaining == 0:
+        if sess.pairs_attempted == sess.pairs_target:
             sess.distribution_done = True
         self._emit(sess.id, "batch_emitted",
                    {"leo": sess.leo_id, "attempted": n, "survivors": survivors,
@@ -477,14 +466,11 @@ class Network:
             return sess.policy.yield_rate
         # mean per-use rate of the two-arm product channel, sampled once per
         # session from its own substream
-        rng_a = self.engine.stream("proto", sess.id, "yield_a")
-        rng_b = self.engine.stream("proto", sess.id, "yield_b")
-        n = sess.policy.yield_samples
-        etas_a = np.asarray(ch.sample_downlink(
-            ch.DownlinkGaussianTail(sess.eta0_a, self.downlink_b), rng_a, n))
-        etas_b = np.asarray(ch.sample_downlink(
-            ch.DownlinkGaussianTail(sess.eta0_b, self.downlink_b), rng_b, n))
-        return min(1.0, float(np.mean(rci_array(etas_a * etas_b))))
+        etas = two_arm_transmittance(
+            *sess.arms, self.engine.stream("proto", sess.id, "yield_a"),
+            self.engine.stream("proto", sess.id, "yield_b"),
+            sess.policy.yield_samples)
+        return min(1.0, float(np.mean(rci_array(etas))))
 
     def _on_distill_complete(self, ev: Event) -> None:
         sess = self.sessions[ev.payload["session_id"]]

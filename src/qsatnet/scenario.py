@@ -117,11 +117,28 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _to_int(raw: str) -> int:
-    value = float(raw)
-    if value != int(value):
-        raise ValueError(f"not an integer: {raw!r}")
-    return int(value)
+def _int(lo: Optional[int] = None):
+    """Converter for a whole number, at least lo when lo is given."""
+    def conv(raw: str) -> int:
+        value = float(raw)
+        if not (math.isfinite(value) and value == int(value)):
+            raise ValueError("not an integer")
+        if lo is not None and value < lo:
+            raise ValueError(f"must be >= {lo}")
+        return int(value)
+    return conv
+
+
+def _real(lo: float = -math.inf, hi: float = math.inf, strict: bool = False):
+    """Converter for a finite float in [lo, hi], or in (lo, hi] when strict."""
+    def conv(raw: str) -> float:
+        value = float(raw)
+        if not (math.isfinite(value) and (value > lo if strict else value >= lo)
+                and value <= hi):
+            raise ValueError(f"must be finite and in "
+                             f"{'(' if strict else '['}{lo:g}, {hi:g}]")
+        return value
+    return conv
 
 
 def load_scenario(path: str) -> Scenario:
@@ -138,58 +155,58 @@ def load_scenario(path: str) -> Scenario:
     if not parser.has_section("scenario"):
         raise ConfigError("missing section", "scenario")
     scenario = Scenario(
-        seed=_get(parser, "scenario", "seed", _to_int, default=0),
-        t_end=_get(parser, "scenario", "t_end", float, required=True),
+        seed=_get(parser, "scenario", "seed", _int(), default=0),
+        t_end=_get(parser, "scenario", "t_end", _real(0), required=True),
         earth_rotation=_get(parser, "scenario", "earth_rotation", _to_bool,
                             default=False),
         min_elevation=math.radians(_get(parser, "scenario", "min_elevation_deg",
-                                        float, default=10.0)),
+                                        _real(-90, 90), default=10.0)),
     )
-    if not (math.isfinite(scenario.t_end) and scenario.t_end >= 0):
-        raise ConfigError("t_end must be finite and >= 0", "scenario", "t_end")
 
     if parser.has_section("channel"):
-        scenario.wavelength = _get(parser, "channel", "wavelength_m", float,
+        scenario.wavelength = _get(parser, "channel", "wavelength_m",
+                                   _real(0, strict=True),
                                    default=ch.DEFAULT_WAVELENGTH)
-        scenario.downlink_b = _get(parser, "channel", "downlink_b", float,
+        scenario.downlink_b = _get(parser, "channel", "downlink_b", _real(0),
                                    default=0.1)
-        if scenario.downlink_b < 0:
-            raise ConfigError("downlink_b must be >= 0", "channel", "downlink_b")
 
     names: dict[str, int] = {}
     seen_ids: dict[int, str] = {}
     for section in parser.sections():
         if section.startswith("station."):
-            node_id = _get(parser, section, "id", _to_int, required=True)
+            node_id = _get(parser, section, "id", _int(0), required=True)
             try:
                 station = geom.GroundStation(
                     id=node_id,
                     latitude=math.radians(_get(parser, section, "latitude_deg",
-                                               float, required=True)),
+                                               _real(-90, 90), required=True)),
                     longitude=math.radians(_get(parser, section, "longitude_deg",
-                                                float, required=True)),
+                                                _real(), required=True)),
                     aperture_radius=_get(parser, section, "aperture_radius_m",
-                                         float, required=True),
+                                         _real(0, strict=True), required=True),
                     memory_coherence_time=_get(parser, section,
-                                               "memory_coherence_s", float,
+                                               "memory_coherence_s",
+                                               _real(0, strict=True),
                                                default=1.0),
                     memory_capacity=_get(parser, section, "memory_capacity",
-                                         _to_int, default=100_000),
+                                         _int(0), default=100_000),
                 )
-            except ValueError as exc:
+            except ConfigError:
+                raise
+            except ValueError as exc:    # the node's own range checks
                 raise ConfigError(str(exc), section) from exc
             _register(seen_ids, node_id, section)
             names[section.split(".", 1)[1]] = node_id
             scenario.stations.append(station)
         elif section.startswith("satellite."):
-            node_id = _get(parser, section, "id", _to_int, required=True)
+            node_id = _get(parser, section, "id", _int(0), required=True)
             tier_raw = _get(parser, section, "tier", str, required=True).strip().upper()
             if tier_raw not in ("LEO", "GEO"):
                 raise ConfigError(f"tier must be LEO or GEO, got {tier_raw!r}",
                                   section, "tier")
             tier = geom.Tier[tier_raw]
             default_alt = geom.GEO_ALTITUDE if tier is geom.Tier.GEO else None
-            altitude = _get(parser, section, "altitude_m", float,
+            altitude = _get(parser, section, "altitude_m", _real(),
                             default=default_alt,
                             required=tier is geom.Tier.LEO)
             try:
@@ -198,17 +215,19 @@ def load_scenario(path: str) -> Scenario:
                     tier=tier,
                     altitude=altitude,
                     aperture_radius=_get(parser, section, "aperture_radius_m",
-                                         float, required=True),
+                                         _real(0, strict=True), required=True),
                     inclination=math.radians(_get(parser, section,
-                                                  "inclination_deg", float,
+                                                  "inclination_deg", _real(),
                                                   default=0.0)),
-                    raan=math.radians(_get(parser, section, "raan_deg", float,
+                    raan=math.radians(_get(parser, section, "raan_deg", _real(),
                                            default=0.0)),
                     phase_at_epoch=math.radians(_get(parser, section,
-                                                     "phase_at_epoch_deg", float,
-                                                     default=0.0)),
+                                                     "phase_at_epoch_deg",
+                                                     _real(), default=0.0)),
                 )
-            except ValueError as exc:
+            except ConfigError:
+                raise
+            except ValueError as exc:    # the node's own range checks
                 raise ConfigError(str(exc), section) from exc
             _register(seen_ids, node_id, section)
             names[section.split(".", 1)[1]] = node_id
@@ -227,44 +246,27 @@ def load_scenario(path: str) -> Scenario:
                                   "protocol", role)
         if requester == responder:
             raise ConfigError("requester and responder must differ", "protocol")
-        yield_rate = _get(parser, "protocol", "yield_rate", float, default=None)
-        try:
-            policy = DistillationPolicy(
-                rounds=_get(parser, "protocol", "distill_rounds", _to_int,
-                            default=1),
-                yield_rate=yield_rate,
-                yield_samples=_get(parser, "protocol", "yield_samples", _to_int,
-                                   default=100_000),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), "protocol") from exc
         scenario.protocol = ProtocolParams(
             requester=names[requester],
             responder=names[responder],
-            qubits=_get(parser, "protocol", "qubits", _to_int, required=True),
-            pairs_target=_get(parser, "protocol", "pairs_target", _to_int,
+            qubits=_get(parser, "protocol", "qubits", _int(1), required=True),
+            pairs_target=_get(parser, "protocol", "pairs_target", _int(1),
                               required=True),
-            policy=policy,
-            batch_size=_get(parser, "protocol", "batch_size", _to_int,
+            policy=DistillationPolicy(
+                rounds=_get(parser, "protocol", "distill_rounds", _int(1),
+                            default=1),
+                yield_rate=_get(parser, "protocol", "yield_rate", _real(0, 1),
+                                default=None),
+                yield_samples=_get(parser, "protocol", "yield_samples", _int(1),
+                                   default=100_000),
+            ),
+            batch_size=_get(parser, "protocol", "batch_size", _int(1),
                             default=None),
-            source_rate_hz=_get(parser, "protocol", "source_rate_hz", float,
-                                default=1e6),
-            min_raw_pairs=_get(parser, "protocol", "min_raw_pairs", _to_int,
+            source_rate_hz=_get(parser, "protocol", "source_rate_hz",
+                                _real(0, strict=True), default=1e6),
+            min_raw_pairs=_get(parser, "protocol", "min_raw_pairs", _int(0),
                                default=1),
         )
-        if scenario.protocol.qubits < 1:
-            raise ConfigError("qubits must be >= 1", "protocol", "qubits")
-        if scenario.protocol.pairs_target < 1:
-            raise ConfigError("pairs_target must be >= 1", "protocol",
-                              "pairs_target")
-        batch_size = scenario.protocol.batch_size
-        if batch_size is not None and batch_size < 1:
-            raise ConfigError("batch_size must be >= 1", "protocol",
-                              "batch_size")
-        rate = scenario.protocol.source_rate_hz
-        if not (math.isfinite(rate) and rate > 0):
-            raise ConfigError("source_rate_hz must be finite and > 0",
-                              "protocol", "source_rate_hz")
 
     if not scenario.stations:
         raise ConfigError("no [station.*] sections defined")

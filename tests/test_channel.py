@@ -219,6 +219,24 @@ class TestModelValidation:
             ch.UplinkPointingFade(0.5, 1.0, -1.0)
         with pytest.raises(ValueError):
             ch.UplinkPointingFade(0.5, 1.0, 0.1, fade_coherence_time=0.0)
+        for bad in (math.nan, math.inf):
+            for fields in ((bad, 1.0, 0.1), (0.5, bad, 0.1), (0.5, 1.0, bad),
+                           (0.5, 1.0, 0.1, bad)):
+                with pytest.raises(ValueError):
+                    ch.UplinkPointingFade(*fields)
+
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ch.DownlinkGaussianTail(0.5, bad)
+            with pytest.raises(ValueError):
+                ch.BeamParams(bad)
+            with pytest.raises(ValueError):
+                ch.BeamParams(0.1, bad)
+            with pytest.raises(ValueError):
+                ch.FixedDiffraction(ch.BeamParams(0.1), bad, 1e6)
+            with pytest.raises(ValueError, match="target_mean_loss_db"):
+                ch.calibrate_uplink_sigma(0.5, 1.0, bad)
 
     def test_beam_params(self):
         with pytest.raises(ValueError):

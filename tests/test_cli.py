@@ -207,6 +207,9 @@ class TestChannelSample:
         ("fixed", "--waist", "inf"), ("fixed", "--rx-radius", "0"),
         ("downlink", "--b", "nan"), ("downlink", "--b", "-0.1"),
         ("downlink", "--n", "0"),
+        ("uplink", "--calibrate-target-db", "nan"),
+        ("uplink", "--calibrate-target-db", "inf"),
+        ("uplink", "--calibrate-target-db", "-1"),
     ])
     def test_bad_numeric_flag_exits_2(self, tmp_path, capsys, model, flag, value):
         out = tmp_path / "never.csv"
@@ -301,3 +304,54 @@ class TestPacketCli:
         run_cli(["packet", "encode", "--input", str(src), "--output", str(a)])
         run_cli(["packet", "encode", "--input", str(src), "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestOutput:
+    PACKET = {"requesting_station_id": 1, "receiving_station_id": 2,
+              "transmit_time_ns": 5, "qubits": []}
+
+    def inputs(self, tmp_path):
+        spec = tmp_path / "packet.json"
+        spec.write_text(json.dumps(self.PACKET))
+        frame = tmp_path / "frame.hex"
+        assert run_cli(["packet", "encode", "--input", str(spec),
+                        "--output", str(frame)]) == 0
+        return spec, frame
+
+    @pytest.mark.parametrize("command", [
+        "run", "rates-sweep", "channel-sample", "packet encode", "packet decode"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        spec, frame = self.inputs(tmp_path)
+        argv = {"run": ["run", EXAMPLE],
+                "rates-sweep": ["rates-sweep", "--distance", "1e6", "--samples",
+                                "10", "--waist-grid", "0.1", "--rx-grid", "0.2"],
+                "channel-sample": ["channel-sample", "--model", "downlink"],
+                "packet encode": ["packet", "encode", "--input", str(spec)],
+                "packet decode": ["packet", "decode", "--input", str(frame)],
+                }[command]
+        unwritable = str(tmp_path / "missing-dir" / "out")
+        assert run_cli(argv + ["--output", unwritable]) == 2
+        assert "config error: --output " in capsys.readouterr().err
+
+    def test_encode_raw_writes_output_file(self, tmp_path, capsys):
+        spec, frame = self.inputs(tmp_path)
+        raw = tmp_path / "frame.bin"
+        capsys.readouterr()
+        assert run_cli(["packet", "encode", "--raw", "--input", str(spec),
+                        "--output", str(raw)]) == 0
+        assert capsys.readouterr().out == ""
+        assert raw.read_bytes() == bytes.fromhex(frame.read_text())
+        assert run_cli(["packet", "decode", "--raw", "--input", str(raw)]) == 0
+        assert json.loads(capsys.readouterr().out)["transmit_time_ns"] == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["run", EXAMPLE, "--format", "jsonl"],
+        ["packet", "encode", "--seed", "1"],
+        ["packet", "encode", "--format", "csv"],
+        ["packet", "decode", "--seed", "1"],
+        ["packet", "decode", "--format", "jsonl"],
+    ])
+    def test_unread_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2

@@ -135,6 +135,18 @@ class TestRequest:
         assert s1.pool is not s2.pool
         assert s1.pairs_survived != 0 and s1.pairs_survived != s2.pairs_survived
 
+    def test_coordinator_is_highest_geo_ties_to_lowest_id(self):
+        # station 1 sits at longitude 0: a GEO at phase 0 is straight overhead
+        eng, net = small_network(satellites=[geo(103, 20.0), geo(102, 0.0),
+                                             geo(101, -20.0), leo(201, 2.0)])
+        assert net.request(1, 2, qubits=1, pairs_target=10).geo_id == 102
+        # GEOs 20 degrees east and west see it at exactly equal elevations
+        eng, net = small_network(satellites=[geo(103, 20.0), geo(101, -20.0),
+                                             geo(102, 20.0), leo(201, 2.0)])
+        assert net.request(1, 2, qubits=1, pairs_target=10).geo_id == 101
+        sent = events(net, "request_sent")[0]["payload"]
+        assert sent["geo"] == 101
+
     def test_no_coordinator_visible(self):
         eng, net = small_network(satellites=[geo(100, 180.0), leo(201, 2.0)])
         sess = net.request(1, 2, qubits=1, pairs_target=10)

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,25 @@ def write_scenario(tmp_path, body):
     path = tmp_path / "scenario.ini"
     path.write_text(body)
     return str(path)
+
+
+def with_field(body, section, field, value):
+    """body with `field = value` in [section], replacing any existing line;
+    a missing section is appended."""
+    lines, inside, done = [], False, False
+    for line in body.splitlines():
+        if line.startswith("["):
+            if inside and not done:
+                lines.append(f"{field} = {value}")
+                done = True
+            inside = line == f"[{section}]"
+        elif inside and line.split("=")[0].strip() == field:
+            line, done = f"{field} = {value}", True
+        lines.append(line)
+    if not done:
+        lines += [] if inside else ["", f"[{section}]"]
+        lines.append(f"{field} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 MINIMAL = """
@@ -119,18 +139,28 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_scenario(write_scenario(tmp_path, body))
 
+    # section of each field; MINIMAL has no [channel] section
+    SECTION = {"t_end": "scenario", "min_elevation_deg": "scenario",
+               "wavelength_m": "channel", "downlink_b": "channel",
+               "longitude_deg": "station.alice",
+               "aperture_radius_m": "station.alice",
+               "memory_coherence_s": "station.alice"}
+
     @pytest.mark.parametrize("field, value", [
         ("t_end", "nan"), ("t_end", "inf"),
         ("batch_size", "0"), ("batch_size", "-5"),
         ("source_rate_hz", "0"), ("source_rate_hz", "-1"),
         ("source_rate_hz", "nan"), ("source_rate_hz", "inf"),
+        ("yield_samples", "0"), ("batch_size", "inf"),
+        ("downlink_b", "nan"), ("wavelength_m", "nan"),
+        ("memory_coherence_s", "nan"), ("min_elevation_deg", "nan"),
+        ("min_elevation_deg", "91"), ("aperture_radius_m", "nan"),
+        ("longitude_deg", "inf"),
     ])
     def test_out_of_range_field_names_it(self, tmp_path, field, value):
-        if field == "t_end":
-            body = MINIMAL.replace("t_end = 1.0", f"t_end = {value}")
-        else:    # MINIMAL ends inside [protocol]
-            body = MINIMAL + f"{field} = {value}\n"
-        with pytest.raises(ConfigError, match=field):
+        section = self.SECTION.get(field, "protocol")
+        body = with_field(MINIMAL, section, field, value)
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {field}:")):
             load_scenario(write_scenario(tmp_path, body))
 
 
@@ -143,10 +173,14 @@ class TestRunScenario:
         assert summary["pairs_attempted"] == 10_000
 
     def test_trace_sink_receives_all_records(self):
+        # a sink gets exactly the records a sink-less run keeps in memory
         sc = load_scenario(str(EXAMPLE))
         sink = []
-        network, _ = run_scenario(sc, trace_sink=sink.append)
-        assert sink == network.trace
+        with_sink, _ = run_scenario(sc, trace_sink=sink.append)
+        kept, _ = run_scenario(sc)
+        assert sink == kept.trace
+        assert len(sink) > 0
+        assert with_sink.trace == []
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_example_is_robust_across_seeds(self, seed):
