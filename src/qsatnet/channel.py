@@ -94,12 +94,6 @@ def db_from_eta(eta: float) -> float:
     return -10.0 * math.log10(eta)
 
 
-def eta_from_db(loss_db: float) -> float:
-    if loss_db < 0:
-        raise ValueError(f"loss must be >= 0 dB, got {loss_db}")
-    return 10.0 ** (-loss_db / 10.0)
-
-
 @dataclass(frozen=True)
 class FixedDiffraction:
     """Deterministic channel: transmittance set by diffraction alone."""

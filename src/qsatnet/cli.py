@@ -119,27 +119,27 @@ def _cmd_run(args) -> int:
 def _cmd_rates_sweep(args) -> int:
     try:
         waists = _parse_grid(args.waist_grid)
-        rx = _parse_grid(args.rx_grid)
+        rx_radii = _parse_grid(args.rx_grid)
         _check_flags(args, ("distance", "wavelength", "samples"), ("b",))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     with _output(args.output) as out:
-        surface = rates.sweep(waists, rx, args.distance, args.b,
+        surface = rates.sweep(waists, rx_radii, args.distance, args.b,
                               wavelength=args.wavelength, n_samples=args.samples,
                               seed=args.seed if args.seed is not None else 0,
                               parallel=args.parallel)
+        rows = ((w0, rx, float(surface.mean_rates[i, j]))
+                for i, w0 in enumerate(waists) for j, rx in enumerate(rx_radii))
         if args.format == "jsonl":
-            for p in surface.points():
-                out.write(_jsonl({"tx_waist_m": p.tx_waist,
-                                  "rx_radius_m": p.rx_radius,
-                                  "distance_m": p.distance, "b": p.b,
-                                  "mean_rate_ebits": p.mean_rate}))
+            for w0, rx, rate in rows:
+                out.write(_jsonl({"tx_waist_m": w0, "rx_radius_m": rx,
+                                  "distance_m": args.distance, "b": args.b,
+                                  "mean_rate_ebits": rate}))
         else:
             out.write("tx_waist_m,rx_radius_m,distance_m,b,mean_rate_ebits\n")
-            for p in surface.points():
-                out.write(f"{p.tx_waist!r},{p.rx_radius!r},{p.distance!r},"
-                          f"{p.b!r},{p.mean_rate!r}\n")
+            for w0, rx, rate in rows:
+                out.write(f"{w0!r},{rx!r},{args.distance!r},{args.b!r},{rate!r}\n")
     return EXIT_OK
 
 
@@ -166,6 +166,10 @@ def _cmd_channel_sample(args) -> int:
         _check_flags(args, ("n", "t_step", "fade_coherence", "wavelength",
                             "distance", "waist", "rx_radius", "beam_radius_rx"),
                      ("b", "sigma_wander", "calibrate_target_db"))
+        if (args.model == "uplink" and args.t_step is not None
+                and (args.n - 1) * args.t_step / args.fade_coherence >= 2.0**63):
+            raise ValueError(f"--t-step {args.t_step} puts sample {args.n - 1} "
+                             f"past 2**63 fade intervals")
         model = _build_channel_model(args)
     except (ValueError, ch.InfeasibleTargetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -147,10 +146,6 @@ class Engine:
     def now(self) -> float:
         return self._now
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._queue)
-
     def stream(self, *parts) -> RngStream:
         return RngStream(derive_key(self.seed, parts))
 
@@ -195,13 +190,3 @@ class Engine:
         self._now = t_end
         return processed
 
-
-def seconds_to_ns(t: float) -> int:
-    """Simulation seconds to integer nanoseconds, rounding half to even."""
-    if not math.isfinite(t):
-        raise ValueError(f"non-finite time {t!r}")
-    return round(t * 1e9)
-
-
-def ns_to_seconds(ns: int) -> float:
-    return ns / 1e9

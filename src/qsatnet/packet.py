@@ -132,16 +132,20 @@ class Packet:
 
 
 def _validate(p: Packet) -> None:
-    if p.version != VERSION:
-        raise EncodeValidationError(f"unsupported version {p.version}")
+    if type(p.version) is not int or p.version != VERSION:
+        raise EncodeValidationError(f"unsupported version {p.version!r}")
+    if type(p.ack_present) is not bool:
+        raise EncodeValidationError(
+            f"ack_present={p.ack_present!r} is not a boolean")
     for name, value, limit in (
             ("requesting_station_id", p.requesting_station_id, _U32),
             ("receiving_station_id", p.receiving_station_id, _U32),
             ("transmit_time_ns", p.transmit_time_ns, _U64),
             ("op_commence_time_ns", p.op_commence_time_ns, _U64),
             ("ack_session_id", p.ack_session_id, _U32)):
-        if not 0 <= value <= limit:
-            raise EncodeValidationError(f"{name}={value} out of range")
+        if type(value) is not int or not 0 <= value <= limit:
+            raise EncodeValidationError(
+                f"{name}={value!r} is not an integer in [0, {limit}]")
     if len(p.qubits) > _U16:
         raise EncodeValidationError(f"too many qubits: {len(p.qubits)}")
     if len(p.error_corr) > _U16:
@@ -150,13 +154,18 @@ def _validate(p: Packet) -> None:
     if not p.ack_present and p.ack_session_id != 0:
         raise EncodeValidationError("ack_session_id must be 0 without the ack flag")
     for q in p.qubits:
-        if not 0 <= q.qubit_id <= _U32:
-            raise EncodeValidationError(f"qubit_id={q.qubit_id} out of range")
-        if not 0 <= q.entanglement_group <= _U32:
+        if type(q.qubit_id) is not int or not 0 <= q.qubit_id <= _U32:
             raise EncodeValidationError(
-                f"entanglement_group={q.entanglement_group} out of range")
-        if q.encoding not in (ENCODING_DV, ENCODING_CV_REFERENCE):
-            raise EncodeValidationError(f"encoding={q.encoding} not in {{0, 1}}")
+                f"qubit_id={q.qubit_id!r} is not an integer in [0, {_U32}]")
+        if (type(q.entanglement_group) is not int
+                or not 0 <= q.entanglement_group <= _U32):
+            raise EncodeValidationError(
+                f"entanglement_group={q.entanglement_group!r} is not an "
+                f"integer in [0, {_U32}]")
+        if type(q.encoding) is not int or q.encoding not in (
+                ENCODING_DV, ENCODING_CV_REFERENCE):
+            raise EncodeValidationError(
+                f"encoding={q.encoding!r} not in {{0, 1}}")
 
 
 def encode(p: Packet) -> bytes:

@@ -79,6 +79,10 @@ class EbitPool:
     serves the session.  Pairs are held as (ids, created_at) segments: one
     per raw deposit and one per distillation output.  Ids must ascend from
     segment to segment, which makes the duplicate check O(1).
+
+    Raw pairs past the coherence time are never used, but they keep their
+    memory slots until distillation replaces the raw segments, so a deposit
+    into a pool full of expired pairs drops fresh ones.
     """
 
     def __init__(self, coherence_time: float, capacity: int):
@@ -117,10 +121,6 @@ class EbitPool:
 
     def fresh_raw(self, t: float) -> list[int]:
         return [pid for ids, created_at in self.raw
-                if self.is_fresh(created_at, t) for pid in ids]
-
-    def fresh_distilled(self, t: float) -> list[int]:
-        return [pid for ids, created_at in self.distilled
                 if self.is_fresh(created_at, t) for pid in ids]
 
     def replace_raw_with_distilled(self, distilled_ids: Sequence[int],

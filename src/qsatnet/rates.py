@@ -21,23 +21,21 @@ from .engine import RngStream, make_stream
 
 LN2 = math.log(2.0)
 RATE_SATURATION = 60.0   # cap as eta -> 1, i.e. for eta above 1 - 2**-60
+SWEEP_THREADS = 4        # thread-pool size of a parallel sweep
 
 
-def rci(eta: float) -> float:
-    """Distillable ebits per use of a pure-loss channel with transmittance eta.
+def rci_array(eta) -> np.ndarray:
+    """Distillable ebits per use of pure-loss channels with transmittances eta.
 
-    max(0, -log2(1 - eta)), saturating at 60 ebits/use (the cap binds only
-    for eta above 1 - 2**-60, unreachable in any regime modeled here).
+    max(0, -log2(1 - eta)) elementwise: exactly 0 at eta = 0, saturating at
+    60 ebits/use (the cap binds only for eta above 1 - 2**-60, unreachable
+    in any regime modeled here).  Raises ValueError unless every eta is in
+    [0, 1]; NaN is out of range.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    if eta == 1.0:
-        return RATE_SATURATION
-    return min(RATE_SATURATION, max(0.0, -math.log1p(-eta) / LN2))
-
-
-def rci_array(eta: np.ndarray) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
+    if eta.size and not (eta.min() >= 0.0 and eta.max() <= 1.0):
+        raise ValueError(f"eta must be in [0, 1], got values from {eta.min()} "
+                         f"to {eta.max()}")
     with np.errstate(divide="ignore"):
         out = -np.log1p(-eta) / LN2
     return np.minimum(out, RATE_SATURATION)
@@ -47,38 +45,30 @@ def mean_rate(model: ch.OpticalChannelModel, n_samples: int,
               rng: Optional[RngStream] = None) -> float:
     """Monte-Carlo mean of the per-use rate over channel draws.
 
-    FixedDiffraction is deterministic and returns rci(eta) exactly with no
-    sampling; the random models draw n_samples independent transmittances
+    A model without fading (FixedDiffraction, a downlink with b = 0, an
+    uplink without wander) gives the rate of its one transmittance with no
+    sampling; the fading models draw n_samples independent transmittances
     from the given stream.
     """
     if isinstance(model, ch.FixedDiffraction):
-        return rci(model.eta)
+        return float(rci_array(model.eta))
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if isinstance(model, ch.DownlinkGaussianTail):
         if model.b == 0.0:
-            return rci(model.eta0)
+            return float(rci_array(model.eta0))
         if rng is None:
             raise ValueError("a random stream is required for a fading model")
         etas = ch.sample_downlink(model, rng, n_samples)
     elif isinstance(model, ch.UplinkPointingFade):
         if model.sigma_wander == 0.0:
-            return rci(model.eta_diffraction)
+            return float(rci_array(model.eta_diffraction))
         if rng is None:
             raise ValueError("a random stream is required for a fading model")
         etas = ch.uplink_interval_samples(model, rng, n_samples)
     else:
         raise TypeError(f"unsupported channel model {model!r}")
     return float(np.mean(rci_array(etas)))
-
-
-@dataclass(frozen=True)
-class RatePoint:
-    tx_waist: float       # transmit waist radius [m]
-    rx_radius: float      # receive aperture radius [m]
-    distance: float       # link distance [m]
-    b: float              # downlink deviation parameter
-    mean_rate: float      # [ebits per channel use]
 
 
 @dataclass(frozen=True)
@@ -96,13 +86,6 @@ class RateSurface:
         if not np.all(np.isfinite(self.mean_rates)) or np.any(self.mean_rates < 0):
             raise ValueError("rates must be finite and >= 0")
 
-    def points(self):
-        """Row-major (waist, rx) iteration matching the CSV row order."""
-        for i, w0 in enumerate(self.tx_waists):
-            for j, rx in enumerate(self.rx_radii):
-                yield RatePoint(w0, rx, self.distance, self.b,
-                                float(self.mean_rates[i, j]))
-
 
 def _point_rate(tx_waist: float, rx_radius: float, distance: float, b: float,
                 wavelength: float, n_samples: int, seed: int,
@@ -119,7 +102,7 @@ def _point_rate(tx_waist: float, rx_radius: float, distance: float, b: float,
 def sweep(tx_waists: Sequence[float], rx_radii: Sequence[float], distance: float,
           b: float, wavelength: float = ch.DEFAULT_WAVELENGTH,
           n_samples: int = 100_000, seed: int = 0,
-          parallel: bool = False, max_workers: int = 4) -> RateSurface:
+          parallel: bool = False) -> RateSurface:
     """Mean-rate surface over the aperture grid.
 
     Each grid point draws from an independent substream keyed by (i, j), so
@@ -138,7 +121,7 @@ def sweep(tx_waists: Sequence[float], rx_radii: Sequence[float], distance: float
                            wavelength, n_samples, seed, i, j)
 
     if parallel:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        with ThreadPoolExecutor(max_workers=SWEEP_THREADS) as pool:
             for (i, j), value in zip(jobs, pool.map(compute, jobs)):
                 rates[i, j] = value
     else:

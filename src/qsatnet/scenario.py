@@ -51,6 +51,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Optional
 
 from . import channel as ch
@@ -118,14 +119,23 @@ def _to_bool(raw: str) -> bool:
 
 
 def _int(lo: Optional[int] = None):
-    """Converter for a whole number, at least lo when lo is given."""
+    """Converter for a whole number, at least lo when lo is given.  Integer
+    text is read exactly; 1e3-style text only when it names an integer
+    exactly, so a 17-digit seed is never rounded through a float."""
     def conv(raw: str) -> int:
-        value = float(raw)
-        if not (math.isfinite(value) and value == int(value)):
-            raise ValueError("not an integer")
+        try:
+            value = int(raw)
+        except ValueError:
+            real = float(raw)
+            if not (math.isfinite(real) and real == int(real)):
+                raise ValueError("not an integer") from None
+            if Decimal(raw) != real:
+                raise ValueError("not exact as a float; write the integer's "
+                                 "digits") from None
+            value = int(real)
         if lo is not None and value < lo:
             raise ValueError(f"must be >= {lo}")
-        return int(value)
+        return value
     return conv
 
 
@@ -175,8 +185,7 @@ def load_scenario(path: str) -> Scenario:
     for section in parser.sections():
         if section.startswith("station."):
             node_id = _get(parser, section, "id", _int(0), required=True)
-            try:
-                station = geom.GroundStation(
+            station = _node(section, lambda: geom.GroundStation(
                     id=node_id,
                     latitude=math.radians(_get(parser, section, "latitude_deg",
                                                _real(-90, 90), required=True)),
@@ -190,11 +199,7 @@ def load_scenario(path: str) -> Scenario:
                                                default=1.0),
                     memory_capacity=_get(parser, section, "memory_capacity",
                                          _int(0), default=100_000),
-                )
-            except ConfigError:
-                raise
-            except ValueError as exc:    # the node's own range checks
-                raise ConfigError(str(exc), section) from exc
+            ))
             _register(seen_ids, node_id, section)
             names[section.split(".", 1)[1]] = node_id
             scenario.stations.append(station)
@@ -209,8 +214,7 @@ def load_scenario(path: str) -> Scenario:
             altitude = _get(parser, section, "altitude_m", _real(),
                             default=default_alt,
                             required=tier is geom.Tier.LEO)
-            try:
-                sat = geom.Satellite(
+            sat = _node(section, lambda: geom.Satellite(
                     id=node_id,
                     tier=tier,
                     altitude=altitude,
@@ -224,11 +228,7 @@ def load_scenario(path: str) -> Scenario:
                     phase_at_epoch=math.radians(_get(parser, section,
                                                      "phase_at_epoch_deg",
                                                      _real(), default=0.0)),
-                )
-            except ConfigError:
-                raise
-            except ValueError as exc:    # the node's own range checks
-                raise ConfigError(str(exc), section) from exc
+            ))
             _register(seen_ids, node_id, section)
             names[section.split(".", 1)[1]] = node_id
             scenario.satellites.append(sat)
@@ -273,6 +273,17 @@ def load_scenario(path: str) -> Scenario:
     return scenario
 
 
+def _node(section: str, build):
+    """build(), with a ValueError from the node's own range checks reported
+    against its section; a field's ConfigError passes through as it is."""
+    try:
+        return build()
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc), section) from exc
+
+
 def _register(seen_ids: dict, node_id: int, section: str) -> None:
     if node_id in seen_ids:
         raise ConfigError(
@@ -281,32 +292,25 @@ def _register(seen_ids: dict, node_id: int, section: str) -> None:
     seen_ids[node_id] = section
 
 
-def build_network(scenario: Scenario, trace_sink=None) -> tuple:
-    """(engine, network) ready to run the scenario's protocol session."""
+def run_scenario(scenario: Scenario, trace_sink=None):
+    """Execute the configured session to completion or t_end.
+
+    Returns (network, summary dict).
+    """
     engine = Engine(seed=scenario.seed)
-    proto_params = scenario.protocol
+    p = scenario.protocol
     network = Network(
         engine, scenario.stations, scenario.satellites,
         wavelength=scenario.wavelength,
         downlink_b=scenario.downlink_b,
         min_elevation=scenario.min_elevation,
         earth_rotation=scenario.earth_rotation,
-        batch_size=proto_params.batch_size if proto_params else None,
-        source_rate_hz=proto_params.source_rate_hz if proto_params else 1e6,
-        min_raw_pairs=proto_params.min_raw_pairs if proto_params else 1,
+        batch_size=p.batch_size if p else None,
+        source_rate_hz=p.source_rate_hz if p else 1e6,
+        min_raw_pairs=p.min_raw_pairs if p else 1,
         trace_sink=trace_sink,
     )
-    return engine, network
-
-
-def run_scenario(scenario: Scenario, trace_sink=None):
-    """Execute the configured session to completion or t_end.
-
-    Returns (network, summary dict).
-    """
-    engine, network = build_network(scenario, trace_sink)
-    if scenario.protocol is not None:
-        p = scenario.protocol
+    if p is not None:
         network.request(p.requester, p.responder, p.qubits, p.pairs_target,
                         policy=p.policy, t=0.0)
     engine.run_until(scenario.t_end)

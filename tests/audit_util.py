@@ -1,5 +1,6 @@
 """Shared test oracles: trace replay audit, composite Gauss-Legendre
-quadrature, and a brute-force relay-selection scan.
+quadrature, a brute-force relay-selection scan, and the scalar rate and
+dB formulas.
 
 These restate the contracts independently of the implementation so the
 tests check the simulator against them rather than against itself.
@@ -13,6 +14,20 @@ PHASE_ORDER = ["IDLE", "REQUESTED", "COORDINATING", "DISTRIBUTING",
                "DISTILLING", "TELEPORTING", "DONE"]
 ALLOWED_STEPS = {(a, b) for a, b in zip(PHASE_ORDER[:-1], PHASE_ORDER[1:])}
 ALLOWED_STEPS |= {(p, "FAILED") for p in PHASE_ORDER[:-1]}
+
+
+def rate_per_use(eta):
+    """-log2(1 - eta) ebits per use by math.log1p, capped at 60."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    if eta == 1.0:
+        return 60.0
+    return min(60.0, max(0.0, -math.log1p(-eta) / math.log(2.0)))
+
+
+def eta_from_db(loss_db):
+    """Transmittance of a loss given in dB, the inverse of db_from_eta."""
+    return 10.0 ** (-loss_db / 10.0)
 
 
 def composite_leggauss(a, b, panels, order):

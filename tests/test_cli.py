@@ -68,6 +68,16 @@ class TestRun:
 
 
 class TestRatesSweep:
+    def test_row_major_points(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["rates-sweep", "--distance", "1200e3", "--b", "0",
+                        "--waist-grid", "0.1,0.2", "--rx-grid", "0.5,1.0,1.5",
+                        "--samples", "1", "--output", str(out)]) == 0
+        rows = [tuple(line.split(",")[:2])
+                for line in out.read_text().splitlines()[1:]]
+        assert rows == [("0.1", "0.5"), ("0.1", "1.0"), ("0.1", "1.5"),
+                        ("0.2", "0.5"), ("0.2", "1.0"), ("0.2", "1.5")]
+
     def test_single_point_value(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run_cli(["rates-sweep", "--distance", "200e3", "--b", "0",
@@ -200,6 +210,7 @@ class TestChannelSample:
     @pytest.mark.parametrize("model, flag, value", [
         ("uplink", "--t-step", "nan"), ("uplink", "--t-step", "inf"),
         ("uplink", "--t-step", "-1"), ("uplink", "--t-step", "0"),
+        ("uplink", "--t-step", "1e300"),
         ("uplink", "--fade-coherence", "nan"),
         ("uplink", "--beam-radius-rx", "-1"),
         ("uplink", "--sigma-wander", "nan"),
@@ -284,7 +295,7 @@ class TestPacketCli:
         assert run_cli(["packet", "decode", "--input", str(latin1)]) == 2
         assert capsys.readouterr().err.count("config error: bad frame input") == 3
 
-    def test_encode_invalid_packet_exits_2(self, tmp_path):
+    def test_encode_invalid_packet_exits_2(self, tmp_path, capsys):
         src = tmp_path / "packet.json"
         bad = self.packet_json()
         bad["requesting_station_id"] = 2**40
@@ -294,6 +305,17 @@ class TestPacketCli:
                      {**self.packet_json(), "requesting_station_id": "one"}):
             src.write_text(json.dumps(spec))
             assert run_cli(["packet", "encode", "--input", str(src)]) == 2
+        qubit = self.packet_json()["qubits"][0]
+        for field, spec in (
+                ("requesting_station_id",
+                 {**self.packet_json(), "requesting_station_id": 1.5}),
+                ("encoding",
+                 {**self.packet_json(), "qubits": [{**qubit, "encoding": 1.0}]}),
+                ("ack_present", {**self.packet_json(), "ack_present": "no"})):
+            src.write_text(json.dumps(spec))
+            capsys.readouterr()
+            assert run_cli(["packet", "encode", "--input", str(src)]) == 2
+            assert f"config error: {field}=" in capsys.readouterr().err
         missing = tmp_path / "missing.json"
         assert run_cli(["packet", "encode", "--input", str(missing)]) == 2
 

@@ -56,7 +56,7 @@ class TestEbitPool:
         pool.replace_raw_with_distilled([1, 2, 3, 4, 5], t=0.0)
         taken = pool.consume_distilled(0.5, 3)
         assert len(taken) == 3
-        assert len(pool.fresh_distilled(0.5)) == 2
+        assert len(pool) == 2
 
     def test_expired_ebits_never_consumed(self):
         pool = EbitPool(1.0, 10)

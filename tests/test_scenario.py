@@ -139,6 +139,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_scenario(write_scenario(tmp_path, body))
 
+    def test_integers_parse_exactly(self, tmp_path):
+        # 2**53 + 1 has no float; a float parse would run seed 2**53
+        body = MINIMAL.replace("seed = 1", "seed = 9007199254740993")
+        assert load_scenario(write_scenario(tmp_path, body)).seed == 2**53 + 1
+        body = MINIMAL.replace("seed = 1", "seed = 1e3")
+        assert load_scenario(write_scenario(tmp_path, body)).seed == 1000
+        body = MINIMAL.replace("seed = 1", "seed = 9007199254740993.0")
+        with pytest.raises(ConfigError, match=r"\[scenario\] seed:"):
+            load_scenario(write_scenario(tmp_path, body))
+
     # section of each field; MINIMAL has no [channel] section
     SECTION = {"t_end": "scenario", "min_elevation_deg": "scenario",
                "wavelength_m": "channel", "downlink_b": "channel",
