@@ -70,6 +70,14 @@ def derive_key(root_seed: int, parts: tuple) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+def _count(n: Optional[int]) -> int:
+    """Number of values a sequential draw returns (1 for a scalar draw)."""
+    m = 1 if n is None else int(n)
+    if m < 0:
+        raise ValueError(f"draw count must be >= 0, got {n}")
+    return m
+
+
 class RngStream:
     """One keyed random stream with sequential and indexed access.
 
@@ -94,14 +102,14 @@ class RngStream:
 
     def random(self, n: Optional[int] = None):
         """Uniform draws in [0, 1); one counter slot per value."""
-        c, m = self._counter, 1 if n is None else int(n)
+        c, m = self._counter, _count(n)
         self._counter += m
         u = self._uniforms(np.arange(c, c + m, dtype=np.uint64))
         return float(u[0]) if n is None else u
 
     def standard_normal(self, n: Optional[int] = None):
         """Normal draws via Box-Muller; two counter slots per value."""
-        c, m = self._counter, 1 if n is None else int(n)
+        c, m = self._counter, _count(n)
         self._counter += 2 * m
         u = self._uniforms(np.arange(c, c + 2 * m, dtype=np.uint64))
         z = np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
@@ -153,9 +161,9 @@ class Engine:
                  payload: Optional[dict] = None) -> Event:
         """Enqueue an event; seq is assigned in schedule-call order."""
         t = float(time)
-        if t < self._now:
+        if not t >= self._now:     # also rejects NaN
             raise EngineError(
-                f"cannot schedule '{kind}' at t={t} before current t={self._now}")
+                f"cannot schedule '{kind}' at t={t}, current t={self._now}")
         ev = Event(t, self._next_seq, kind, payload if payload is not None else {}, handler)
         self._next_seq += 1
         heapq.heappush(self._queue, (ev.time, ev.seq, ev))
@@ -170,8 +178,8 @@ class Engine:
         event identified.
         """
         t_end = float(t_end)
-        if t_end < self._now:
-            raise EngineError(f"run_until({t_end}) is before current t={self._now}")
+        if not t_end >= self._now:     # also rejects NaN
+            raise EngineError(f"cannot run until t={t_end}, current t={self._now}")
         processed = 0
         while self._queue and self._queue[0][0] <= t_end:
             _, _, ev = heapq.heappop(self._queue)

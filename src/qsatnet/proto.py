@@ -164,23 +164,53 @@ def distilled_count(n_valid: int, yield_rate: float) -> int:
     return int(math.floor(n_valid * yield_rate))
 
 
-def two_arm_transmittance(model_a: ch.DownlinkGaussianTail,
-                          model_b: ch.DownlinkGaussianTail,
-                          rng_a: RngStream, rng_b: RngStream,
-                          n: int) -> np.ndarray:
-    """eta_a * eta_b for n pairs, each drawing one transmittance per arm."""
-    return (np.asarray(ch.sample_downlink(model_a, rng_a, n))
-            * np.asarray(ch.sample_downlink(model_b, rng_b, n)))
+DRAW_CHUNK = 8192   # most pairs a session draws ahead of its batches
 
 
-def sample_pair_survival(model_a: ch.DownlinkGaussianTail,
-                         model_b: ch.DownlinkGaussianTail,
-                         rng_a: RngStream, rng_b: RngStream,
-                         rng_survival: RngStream, n: int) -> np.ndarray:
+class PairDraws:
+    """A session's per-pair draws, made ahead in chunks: the fade factor of
+    each downlink arm and the survival uniform.
+
+    The streams are counter-based, so pair k gets the values that drawing
+    batch by batch would give it.  A chunk holds at most DRAW_CHUNK pairs and
+    never more than the session has left to attempt; a batch larger than a
+    chunk draws exactly what it lacks.
+    """
+
+    def __init__(self, rng_a: RngStream, rng_b: RngStream,
+                 rng_survival: RngStream, b: float, pairs: int):
+        # the unit floor makes sample_downlink return clip(1 - |G| b, 0, 1)
+        self._fade = ch.DownlinkGaussianTail(1.0, b)
+        self._rngs = (rng_a, rng_b)
+        self._rng_survival = rng_survival
+        self._undrawn = pairs
+        self._cols = [np.empty(0)] * 3     # fade_a, fade_b, survival uniform
+        self._pos = 0
+
+    def take(self, n: int) -> list:
+        """[fade_a, fade_b, u] for the next n pairs."""
+        lacking = n - (len(self._cols[2]) - self._pos)
+        if lacking > 0:
+            m = min(self._undrawn, max(DRAW_CHUNK, lacking))
+            if m < lacking:
+                raise ValueError(f"{n} pairs exceed the session's target")
+            fresh = [ch.sample_downlink(self._fade, rng, m) for rng in self._rngs]
+            fresh.append(self._rng_survival.random(m))
+            self._cols = [np.concatenate((col[self._pos:], f))
+                          for col, f in zip(self._cols, fresh)]
+            self._pos = 0
+            self._undrawn -= m
+        cut = slice(self._pos, self._pos + n)
+        self._pos += n
+        return [col[cut] for col in self._cols]
+
+
+def sample_pair_survival(draws: PairDraws, eta0_a: float, eta0_b: float,
+                         n: int) -> np.ndarray:
     """Per-pair survival mask for one distribution batch: each attempted
     pair survives with probability eta_a * eta_b."""
-    etas = two_arm_transmittance(model_a, model_b, rng_a, rng_b, n)
-    return np.asarray(rng_survival.random(n)) < etas
+    fade_a, fade_b, u = draws.take(n)
+    return u < (eta0_a * fade_a) * (eta0_b * fade_b)
 
 
 @dataclass
@@ -209,9 +239,7 @@ class Session:
     classical_bits: int = 0
     failure_reason: Optional[str] = None
     # per-session streams persist across batches so draws never repeat
-    rng_arm_a: Optional[RngStream] = None
-    rng_arm_b: Optional[RngStream] = None
-    rng_survival: Optional[RngStream] = None
+    draws: Optional[PairDraws] = None
 
 
 class Network:
@@ -307,9 +335,10 @@ class Network:
                         station_b.memory_coherence_time)
         capacity = min(station_a.memory_capacity, station_b.memory_capacity)
         sess.pool = EbitPool(coherence, capacity)
-        sess.rng_arm_a = self.engine.stream("proto", sess.id, "arm_a")
-        sess.rng_arm_b = self.engine.stream("proto", sess.id, "arm_b")
-        sess.rng_survival = self.engine.stream("proto", sess.id, "survival")
+        sess.draws = PairDraws(self.engine.stream("proto", sess.id, "arm_a"),
+                               self.engine.stream("proto", sess.id, "arm_b"),
+                               self.engine.stream("proto", sess.id, "survival"),
+                               self.downlink_b, pairs_target)
         self._transition(sess, Phase.REQUESTED)
 
         pos_a = self._station_pos(a_id, t0)
@@ -370,14 +399,19 @@ class Network:
 
     def _arm(self, leo: geom.Satellite, pos_leo: np.ndarray, station_id: int,
              t: float) -> tuple:
-        """(downlink model, link, elevation) from the relay to one station."""
+        """(downlink model, slant distance, elevation) from the relay to one
+        station; the geom.link_geometry and geom.elevation_angle arithmetic
+        over one line-of-sight vector."""
         pos_gs = self._station_pos(station_id, t)
-        link = geom.link_geometry(pos_gs, pos_leo)
+        los = pos_leo - pos_gs
+        distance = float(np.linalg.norm(los))
+        up = pos_gs / float(np.linalg.norm(pos_gs))
+        sin_el = float(np.dot(los, up)) / distance
         eta0 = ch.diffraction_transmittance(
             ch.BeamParams(leo.aperture_radius, self.wavelength),
-            self.stations[station_id].aperture_radius, link.distance)
+            self.stations[station_id].aperture_radius, distance)
         model = ch.DownlinkGaussianTail(eta0, self.downlink_b)
-        return model, link, geom.elevation_angle(pos_gs, pos_leo)
+        return model, distance, math.asin(min(1.0, max(-1.0, sin_el)))
 
     def _on_batch(self, ev: Event) -> None:
         sess = self.sessions[ev.payload["session_id"]]
@@ -386,8 +420,8 @@ class Network:
         now = self.engine.now
         leo = self.satellites[sess.leo_id]
         pos_leo = geom.satellite_position(leo, now)
-        model_a, link_a, el_a = self._arm(leo, pos_leo, sess.a_id, now)
-        model_b, link_b, el_b = self._arm(leo, pos_leo, sess.b_id, now)
+        model_a, slant_a, el_a = self._arm(leo, pos_leo, sess.a_id, now)
+        model_b, slant_b, el_b = self._arm(leo, pos_leo, sess.b_id, now)
         remaining = sess.pairs_target - sess.pairs_attempted
         if min(el_a, el_b) < self.min_elevation:
             self._emit(sess.id, "link_lost",
@@ -404,12 +438,12 @@ class Network:
 
         n = remaining if self.batch_size is None else min(self.batch_size,
                                                           remaining)
-        survive = sample_pair_survival(model_a, model_b, sess.rng_arm_a,
-                                       sess.rng_arm_b, sess.rng_survival, n)
+        survive = sample_pair_survival(sess.draws, model_a.eta0, model_b.eta0, n)
         survivors = int(np.count_nonzero(survive))
         pair_ids = range(self._next_pair_id, self._next_pair_id + survivors)
         self._next_pair_id += survivors
-        arrival_t = now + max(link_a.propagation_delay, link_b.propagation_delay)
+        # x / c is monotonic in x, so this is the later arm's light time
+        arrival_t = now + max(slant_a, slant_b) / geom.C_LIGHT
         sess.arms = (model_a, model_b)
         sess.pairs_attempted += n
         sess.pending_deposits += 1
@@ -420,7 +454,7 @@ class Network:
                    {"leo": sess.leo_id, "attempted": n, "survivors": survivors,
                     "eta0_a": model_a.eta0, "eta0_b": model_b.eta0,
                     "b": self.downlink_b, "emit_t": now, "arrival_t": arrival_t,
-                    "slant_a_m": link_a.distance, "slant_b_m": link_b.distance})
+                    "slant_a_m": slant_a, "slant_b_m": slant_b})
         self.engine.schedule(arrival_t, "pairs_arrival", self._on_deposit,
                              {"session_id": sess.id, "pair_ids": pair_ids})
         if not sess.distribution_done:
@@ -466,11 +500,11 @@ class Network:
             return sess.policy.yield_rate
         # mean per-use rate of the two-arm product channel, sampled once per
         # session from its own substream
-        etas = two_arm_transmittance(
-            *sess.arms, self.engine.stream("proto", sess.id, "yield_a"),
-            self.engine.stream("proto", sess.id, "yield_b"),
-            sess.policy.yield_samples)
-        return min(1.0, float(np.mean(rci_array(etas))))
+        streams = [self.engine.stream("proto", sess.id, arm)
+                   for arm in ("yield_a", "yield_b")]
+        eta_a, eta_b = (ch.sample_downlink(model, rng, sess.policy.yield_samples)
+                        for model, rng in zip(sess.arms, streams))
+        return min(1.0, float(np.mean(rci_array(eta_a * eta_b))))
 
     def _on_distill_complete(self, ev: Event) -> None:
         sess = self.sessions[ev.payload["session_id"]]

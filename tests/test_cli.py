@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -35,12 +36,25 @@ class TestRun:
         ("", "33e2e5cf68a5a22e1289f8b9f3477b8bd7b99d239dccdb7a8a4b4cf2076ad902"),
         ("batch_size = 100\n",
          "2ae30b9387454f2d7c1d9f5ae08fb8be4c310f0261d35223f88d0768daee944f"),
+        # 37-pair batches straddle the session's draw-chunk refills
+        ("batch_size = 37\n",
+         "449eaf9c0fe270f20527d43b766e13093a5f63f31a4127a39d2694170f1ebc9e"),
+        # b = 0: the arm fades consume no stream
+        ("downlink_b = 0.0\nbatch_size = 100\n",
+         "27a11406591a3916ea2e27676729613f37dead44ba87906def467c582eb54664"),
     ])
     def test_trace_bytes_pinned(self, tmp_path, extra, digest):
-        # the bundled example, one batch and 100-pair batches; the example
-        # file ends inside [protocol]
+        # the bundled example, one batch or fixed-size batches; each line of
+        # extra replaces the example's line for the same key, or is appended
+        # (the example file ends inside [protocol])
         scenario, out = tmp_path / "s.ini", tmp_path / "trace.jsonl"
-        scenario.write_text(Path(EXAMPLE).read_text() + extra)
+        text = Path(EXAMPLE).read_text()
+        for line in extra.splitlines(keepends=True):
+            key = line.split("=")[0]
+            text, found = re.subn(rf"^{re.escape(key)}=.*\n", line, text,
+                                  flags=re.M)
+            text += "" if found else line
+        scenario.write_text(text)
         assert run_cli(["run", str(scenario), "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

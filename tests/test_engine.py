@@ -37,6 +37,18 @@ def test_schedule_in_past_raises():
         eng.schedule(0.5, "late", lambda ev: None)
 
 
+def test_nan_time_rejected():
+    # a NaN event would sit at the heap head and block every later one
+    eng = Engine()
+    eng.schedule(1.0, "tick", lambda ev: None)
+    with pytest.raises(EngineError):
+        eng.schedule(math.nan, "bad", lambda ev: None)
+    with pytest.raises(EngineError):
+        eng.run_until(math.nan)
+    assert eng.run_until(5.0) == 1
+    assert eng.now == 5.0
+
+
 def test_run_until_empty_queue_advances_clock():
     eng = Engine()
     assert eng.run_until(42.0) == 0
@@ -135,6 +147,19 @@ def test_scalar_draws_match_vector_draws():
     s = make_stream(3, "scalar")
     v = make_stream(3, "scalar")
     assert [s.random() for _ in range(5)] == list(v.random(5))
+
+
+def test_negative_draw_count_raises():
+    # a negative count must not move the counter back and repeat values
+    s = make_stream(4, "count")
+    first = s.random(3)
+    with pytest.raises(ValueError):
+        s.random(-3)
+    with pytest.raises(ValueError):
+        s.standard_normal(-2)
+    rest = s.random(3)
+    assert np.array_equal(np.concatenate((first, rest)),
+                          make_stream(4, "count").random(6))
 
 
 def test_derive_key_sensitivity():

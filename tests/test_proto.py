@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from audit_util import brute_force_select, replay_audit
-from qsatnet import channel as ch
 from qsatnet import geom
 from qsatnet.engine import Engine, make_stream
 from qsatnet.proto import (DistillationPolicy, EbitPool, Failure, Network,
-                           Phase, distilled_count, sample_pair_survival)
+                           PairDraws, Phase, distilled_count,
+                           sample_pair_survival)
 
 
 def station(st_id, lon_deg, coherence=1.0, capacity=100_000):
@@ -79,27 +79,55 @@ class TestBuildingBlocks:
         assert distilled_count(10, 1.0) == 10
 
     def test_survival_perfect_arms(self):
-        ideal = ch.DownlinkGaussianTail(1.0, 0.0)
-        mask = sample_pair_survival(ideal, ideal, make_stream(1, "a"),
-                                    make_stream(1, "b"), make_stream(1, "u"), 1000)
+        draws = PairDraws(make_stream(1, "a"), make_stream(1, "b"),
+                          make_stream(1, "u"), 0.0, 1000)
+        mask = sample_pair_survival(draws, 1.0, 1.0, 1000)
         assert mask.all()
 
     def test_survival_dead_arm(self):
-        dead = ch.DownlinkGaussianTail(0.0, 0.0)
-        live = ch.DownlinkGaussianTail(1.0, 0.0)
-        mask = sample_pair_survival(dead, live, make_stream(2, "a"),
-                                    make_stream(2, "b"), make_stream(2, "u"), 1000)
+        draws = PairDraws(make_stream(2, "a"), make_stream(2, "b"),
+                          make_stream(2, "u"), 0.0, 1000)
+        mask = sample_pair_survival(draws, 0.0, 1.0, 1000)
         assert not mask.any()
 
     def test_survival_binomial_oracle(self):
         # fixed etas 0.3/0.3: survivors ~ Binomial(1e5, 0.09)
-        arm = ch.DownlinkGaussianTail(0.3, 0.0)
-        mask = sample_pair_survival(arm, arm, make_stream(3, "a"),
-                                    make_stream(3, "b"), make_stream(3, "u"),
-                                    100_000)
+        draws = PairDraws(make_stream(3, "a"), make_stream(3, "b"),
+                          make_stream(3, "u"), 0.0, 100_000)
+        mask = sample_pair_survival(draws, 0.3, 0.3, 100_000)
         n, p = 100_000, 0.09
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(int(mask.sum()) - n * p) < 3 * sigma
+
+
+    @pytest.mark.parametrize("b, sizes, spare", [
+        (0.4, [100, 37, 9000, 100, 5], 0),
+        (0.4, [100, 37, 9000, 100, 5], 50_000),
+        (0.0, [100, 37, 9000, 100, 5], 0),
+        (0.4, [9000, 100, 9000], 0),
+    ])
+    def test_survival_equals_per_batch_draws(self, b, sizes, spare):
+        # oracle: each batch draws its own normals and uniforms from the same
+        # three streams; the buffer's chunks straddle batches, and a batch
+        # may be larger than a chunk
+        eta0_a, eta0_b = 0.8, 0.6
+        keys = [(4, "a"), (4, "b"), (4, "u")]
+        draws = PairDraws(*(make_stream(*k) for k in keys), b, sum(sizes) + spare)
+        rng_a, rng_b, rng_u = (make_stream(*k) for k in keys)
+        survivors = 0
+        for n in sizes:
+            eta_a = eta0_a * np.clip(1.0 - np.abs(rng_a.standard_normal(n)) * b,
+                                     0.0, 1.0)
+            eta_b = eta0_b * np.clip(1.0 - np.abs(rng_b.standard_normal(n)) * b,
+                                     0.0, 1.0)
+            expected = rng_u.random(n) < eta_a * eta_b
+            mask = sample_pair_survival(draws, eta0_a, eta0_b, n)
+            assert np.array_equal(mask, expected)
+            survivors += mask.sum()
+        assert 0 < survivors < sum(sizes)
+        if spare == 0:
+            with pytest.raises(ValueError):
+                sample_pair_survival(draws, eta0_a, eta0_b, 1)
 
 
 class TestRequest:
