@@ -86,6 +86,29 @@ def diffraction_transmittance(beam: BeamParams, rx_radius: float, z: float) -> f
     return 1.0 - math.exp(-2.0 * rx_radius**2 / w**2)
 
 
+def _squares(x: float) -> bool:
+    """Whether x**2 is a float; Python raises OverflowError where it is not."""
+    try:
+        x ** 2
+    except OverflowError:
+        return False
+    return True
+
+
+def _check_budget(beam: BeamParams, rx_radius: float, distance: float) -> None:
+    """Raise a ValueError naming the field that takes the float arithmetic
+    of diffraction_transmittance out of range, where it would raise."""
+    if not _squares(beam.w0) or beam.rayleigh_range == 0.0:
+        raise ValueError(f"w0={beam.w0!r} at wavelength={beam.wavelength!r} "
+                         f"puts the Rayleigh range out of the float range")
+    if not _squares(rx_radius):
+        raise ValueError(f"rx_radius={rx_radius!r} is too large to square")
+    if not (_squares(distance / beam.rayleigh_range)
+            and _squares(beam_radius(beam, distance))):
+        raise ValueError(f"distance={distance!r} spreads the beam out of "
+                         f"the float range")
+
+
 def db_from_eta(eta: float) -> float:
     """Loss in dB; eta = 0 maps to +inf (infinite loss, not an error)."""
     _check_eta(eta)
@@ -104,6 +127,7 @@ class FixedDiffraction:
     def __post_init__(self):
         _check_real(self.rx_radius, "rx_radius")
         _check_real(self.distance, "distance")
+        _check_budget(self.beam, self.rx_radius, self.distance)
 
     @property
     def eta(self) -> float:

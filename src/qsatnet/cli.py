@@ -121,6 +121,10 @@ def _cmd_rates_sweep(args) -> int:
         waists = _parse_grid(args.waist_grid)
         rx_radii = _parse_grid(args.rx_grid)
         _check_flags(args, ("distance", "wavelength", "samples"), ("b",))
+        for w0 in waists:   # every grid point's link budget fits in floats
+            beam = ch.BeamParams(w0, args.wavelength)
+            for rx in rx_radii:
+                ch.FixedDiffraction(beam, rx, args.distance)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -339,6 +343,10 @@ def main(argv: Optional[list] = None) -> int:
     except OutputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # a grid, sample count or frame too large to allocate
+        print(f"runtime failure: out of memory: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

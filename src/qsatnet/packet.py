@@ -33,6 +33,9 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import partial
+from itertools import starmap
+from typing import NamedTuple
 
 MAGIC = b"\x51\x50"
 VERSION = 1
@@ -51,6 +54,8 @@ ENCODING_CV_REFERENCE = 1
 _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
 _U64 = 0xFFFFFFFFFFFFFFFF
+
+_DESC = struct.Struct(">IIB")   # one descriptor: qubit_id, group, encoding
 
 
 class PacketError(ValueError):
@@ -102,11 +107,15 @@ def crc32(data: bytes) -> int:
     return zlib.crc32(data) & _U32
 
 
-@dataclass(frozen=True)
-class QubitDescriptor:
+class QubitDescriptor(NamedTuple):
     qubit_id: int
     entanglement_group: int = 0   # 0 = unentangled
     encoding: int = ENCODING_DV
+
+
+# QubitDescriptor from a 3-tuple, as ``QubitDescriptor._make`` does, but
+# without a Python-level call per descriptor
+_descriptor = partial(tuple.__new__, QubitDescriptor)
 
 
 @dataclass(frozen=True)
@@ -153,6 +162,16 @@ def _validate(p: Packet) -> None:
             f"error_corr too long: {len(p.error_corr)} bytes")
     if not p.ack_present and p.ack_session_id != 0:
         raise EncodeValidationError("ack_session_id must be 0 without the ack flag")
+    if p.qubits:
+        # column-wise in C; the loop below only runs to name the first bad
+        # descriptor
+        ids, groups, encodings = zip(*p.qubits)
+        if (set(map(type, ids)) == set(map(type, groups))
+                == set(map(type, encodings)) == {int}
+                and 0 <= min(ids) and max(ids) <= _U32
+                and 0 <= min(groups) and max(groups) <= _U32
+                and set(encodings) <= {ENCODING_DV, ENCODING_CV_REFERENCE}):
+            return
     for q in p.qubits:
         if type(q.qubit_id) is not int or not 0 <= q.qubit_id <= _U32:
             raise EncodeValidationError(
@@ -175,12 +194,10 @@ def encode(p: Packet) -> bytes:
              struct.pack(">BB", p.version, p.flags),
              struct.pack(">IIQQH", p.requesting_station_id,
                          p.receiving_station_id, p.transmit_time_ns,
-                         p.op_commence_time_ns, len(p.qubits))]
-    for q in p.qubits:
-        parts.append(struct.pack(">IIB", q.qubit_id, q.entanglement_group,
-                                 q.encoding))
-    parts.append(struct.pack(">IH", p.ack_session_id, len(p.error_corr)))
-    parts.append(p.error_corr)
+                         p.op_commence_time_ns, len(p.qubits)),
+             *starmap(_DESC.pack, p.qubits),
+             struct.pack(">IH", p.ack_session_id, len(p.error_corr)),
+             p.error_corr]
     body = b"".join(parts)
     return body + struct.pack(">I", crc32(body)) + END_MARKER
 
@@ -216,13 +233,13 @@ def decode(data: bytes) -> Packet:
     if len(data) < desc_end + 6:
         raise TruncatedInput("input ends inside descriptors or trailer head",
                              len(data))
-    qubits = []
-    for k in range(qubit_count):
-        off = HEADER_LEN + DESCRIPTOR_LEN * k
-        qid, group, enc = struct.unpack(">IIB", data[off:off + DESCRIPTOR_LEN])
-        if enc not in (ENCODING_DV, ENCODING_CV_REFERENCE):
-            raise FieldMismatch(f"qubit encoding {enc} not in {{0, 1}}", off + 8)
-        qubits.append(QubitDescriptor(qid, group, enc))
+    # the encoding byte of every descriptor; k is the first not in {0, 1}
+    encodings = data[HEADER_LEN + 8:desc_end:DESCRIPTOR_LEN]
+    k = len(encodings) - len(encodings.lstrip(b"\x00\x01"))
+    if k < qubit_count:
+        raise FieldMismatch(f"qubit encoding {encodings[k]} not in {{0, 1}}",
+                            HEADER_LEN + DESCRIPTOR_LEN * k + 8)
+    qubits = tuple(map(_descriptor, _DESC.iter_unpack(data[HEADER_LEN:desc_end])))
 
     ack_id, ec_len = struct.unpack(">IH", data[desc_end:desc_end + 6])
     if not (flags & FLAG_ACK) and ack_id != 0:
@@ -247,7 +264,7 @@ def decode(data: bytes) -> Packet:
 
     return Packet(requesting_station_id=req_id, receiving_station_id=recv_id,
                   transmit_time_ns=tx_ns, op_commence_time_ns=op_ns,
-                  qubits=tuple(qubits), ack_session_id=ack_id,
+                  qubits=qubits, ack_session_id=ack_id,
                   ack_present=bool(flags & FLAG_ACK), error_corr=error_corr)
 
 
@@ -259,20 +276,35 @@ def packet_to_dict(p: Packet) -> dict:
         "receiving_station_id": p.receiving_station_id,
         "transmit_time_ns": p.transmit_time_ns,
         "op_commence_time_ns": p.op_commence_time_ns,
-        "qubits": [{"qubit_id": q.qubit_id,
-                    "entanglement_group": q.entanglement_group,
-                    "encoding": q.encoding} for q in p.qubits],
+        "qubits": [{"qubit_id": qid, "entanglement_group": group,
+                    "encoding": enc} for qid, group, enc in p.qubits],
         "ack_present": p.ack_present,
         "ack_session_id": p.ack_session_id,
         "error_corr_hex": p.error_corr.hex(),
     }
 
 
+def _not_an_object(k: int, q) -> None:
+    raise TypeError(f"qubits[{k}] must be an object, got {type(q).__name__}")
+
+
 def packet_from_dict(d: dict) -> Packet:
-    qubits = tuple(QubitDescriptor(q["qubit_id"],
-                                   q.get("entanglement_group", 0),
-                                   q.get("encoding", ENCODING_DV))
-                   for q in d.get("qubits", []))
+    """Inverse of packet_to_dict; a TypeError names a mistyped container.
+
+    Field values are checked by encode, not here.
+    """
+    specs = d.get("qubits", [])
+    if not isinstance(specs, (list, tuple)):
+        raise TypeError(f"qubits must be a list of objects, "
+                        f"got {type(specs).__name__}")
+    qubits = tuple([_descriptor((q["qubit_id"], q.get("entanglement_group", 0),
+                                 q.get("encoding", ENCODING_DV)))
+                    if isinstance(q, dict) else _not_an_object(k, q)
+                    for k, q in enumerate(specs)])
+    error_corr_hex = d.get("error_corr_hex", "")
+    if not isinstance(error_corr_hex, str):
+        raise TypeError(f"error_corr_hex must be a hex string, "
+                        f"got {type(error_corr_hex).__name__}")
     return Packet(
         requesting_station_id=d["requesting_station_id"],
         receiving_station_id=d["receiving_station_id"],
@@ -281,6 +313,6 @@ def packet_from_dict(d: dict) -> Packet:
         qubits=qubits,
         ack_session_id=d.get("ack_session_id", 0),
         ack_present=d.get("ack_present", False),
-        error_corr=bytes.fromhex(d.get("error_corr_hex", "")),
+        error_corr=bytes.fromhex(error_corr_hex),
         version=d.get("version", VERSION),
     )

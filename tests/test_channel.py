@@ -239,6 +239,22 @@ class TestModelValidation:
             with pytest.raises(ValueError, match="target_mean_loss_db"):
                 ch.calibrate_uplink_sigma(0.5, 1.0, bad)
 
+    @pytest.mark.parametrize("w0, rx, z, field", [
+        (1e300, 1e300, 1e6, "w0"),     # w0**2 overflows
+        (1e-300, 1.25, 1e300, "w0"),   # the Rayleigh range underflows to 0
+        (0.2, 1e300, 1e6, "rx_radius"),
+        (0.2, 1.25, 1e300, "distance"),    # (z / z_R)**2 overflows
+        (1e100, 1.25, 2e266, "distance"),  # w(z)**2 overflows
+    ])
+    def test_budget_out_of_float_range(self, w0, rx, z, field):
+        with pytest.raises(ValueError, match=f"^{field}="):
+            ch.FixedDiffraction(ch.BeamParams(w0), rx, z)
+
+    def test_budget_at_the_float_edge_is_kept(self):
+        # an infinite Rayleigh range leaves the beam at its waist
+        model = ch.FixedDiffraction(ch.BeamParams(1e154), 1e153, 1e300)
+        assert model.eta == 1.0 - math.exp(-2.0 * 1e153**2 / 1e154**2)
+
     def test_beam_params(self):
         with pytest.raises(ValueError):
             ch.BeamParams(0.0)

@@ -147,6 +147,24 @@ class TestRatesSweep:
             assert run_cli(["rates-sweep", "--waist-grid", "0.1", "--rx-grid",
                             "0.2", "--samples", "10", *flags]) == 2, flags
 
+    def test_budget_out_of_float_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert run_cli(["rates-sweep", "--distance", "1e6", "--waist-grid",
+                        "0.1,1e300", "--rx-grid", "0.2", "--samples", "3",
+                        "--output", str(out)]) == 2
+        assert "config error: w0=1e+300 " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grids", [
+        ["--waist-grid", "0.1:1:10000000000000"],
+        ["--waist-grid", "0.1", "--rx-grid", "0.1", "--samples", "10000000000000"],
+    ])
+    def test_unallocatable_request_exits_3(self, tmp_path, capsys, grids):
+        # 10**13 grid points or samples: the allocation fails at once
+        assert run_cli(["rates-sweep", "--distance", "1e6", *grids,
+                        "--output", str(tmp_path / "out.csv")]) == 3
+        assert "runtime failure: out of memory: " in capsys.readouterr().err
+
     def test_jsonl_format(self, tmp_path):
         out = tmp_path / "sweep.jsonl"
         run_cli(["rates-sweep", "--distance", "200e3", "--b", "0",
@@ -243,6 +261,19 @@ class TestChannelSample:
         assert f"config error: {flag} " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--waist", "1e-300", "--distance", "1e300"], "w0"),
+        (["--distance", "1e300"], "distance"),
+        (["--rx-radius", "1e300"], "rx_radius"),
+    ])
+    def test_budget_out_of_float_range_exits_2(self, tmp_path, capsys, flags,
+                                               field):
+        out = tmp_path / "never.csv"
+        assert run_cli(["channel-sample", "--model", "fixed", "--n", "2",
+                        *flags, "--output", str(out)]) == 2
+        assert f"config error: {field}=" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_calibration_exits_2(self):
         assert run_cli(["channel-sample", "--model", "uplink",
                         "--eta-diffraction", "0.5", "--beam-radius-rx", "1.0",
@@ -332,6 +363,22 @@ class TestPacketCli:
             assert f"config error: {field}=" in capsys.readouterr().err
         missing = tmp_path / "missing.json"
         assert run_cli(["packet", "encode", "--input", str(missing)]) == 2
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("qubits", 5, "qubits must be"),
+        ("qubits", "ab", "qubits must be"),
+        ("qubits", [7], "qubits[0] must be"),
+        ("qubits", [{"qubit_id": 1}, {"qubit_id": 2}, None], "qubits[2] must be"),
+        ("qubits", {"qubit_id": 1}, "qubits must be"),
+        ("error_corr_hex", 5, "error_corr_hex must be"),
+    ])
+    def test_encode_mistyped_field_is_named(self, tmp_path, capsys, field,
+                                            value, named):
+        src = tmp_path / "packet.json"
+        src.write_text(json.dumps({**self.packet_json(), field: value}))
+        assert run_cli(["packet", "encode", "--input", str(src)]) == 2
+        assert (f"config error: bad packet description: {named}"
+                in capsys.readouterr().err)
 
     def test_encode_deterministic(self, tmp_path):
         src = tmp_path / "packet.json"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 import zlib
@@ -27,8 +28,8 @@ DECODE_INPUTS = st.one_of(
 )
 
 
-def random_packet(rng: random.Random) -> pk.Packet:
-    n_qubits = rng.choice([0, 0, 1, 2, 5, 40])
+def random_packet(rng: random.Random, sizes=(0, 0, 1, 2, 5, 40)) -> pk.Packet:
+    n_qubits = rng.choice(sizes)
     qubits = tuple(pk.QubitDescriptor(rng.randrange(2**32),
                                       rng.randrange(2**32) if rng.random() < 0.5 else 0,
                                       rng.choice([0, 1]))
@@ -44,6 +45,37 @@ def random_packet(rng: random.Random) -> pk.Packet:
         ack_session_id=rng.randrange(2**32) if ack else 0,
         error_corr=bytes(rng.randrange(256) for _ in range(rng.choice([0, 0, 3, 17]))),
     )
+
+
+def junk_corpus():
+    """2000 blobs of up to 119 random bytes."""
+    rng = random.Random(31337)
+    for _ in range(2000):
+        yield bytes(rng.randrange(256) for _ in range(rng.randrange(0, 120)))
+
+
+def mutation_corpus():
+    """500 encoded random packets, each with 1 to 5 bits flipped."""
+    rng = random.Random(4242)
+    for _ in range(500):
+        data = bytearray(pk.encode(random_packet(rng)))
+        for _ in range(rng.choice([1, 1, 2, 5])):
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        yield bytes(data)
+
+
+def decode_outcome(data: bytes):
+    """The decoded packet's dict, or the error's (class name, offset, message)."""
+    try:
+        return pk.packet_to_dict(pk.decode(data))
+    except pk.PacketError as err:
+        return (type(err).__name__, err.offset, str(err))
+
+
+def large_packets():
+    """200 random packets with up to 4096 descriptors each."""
+    rng = random.Random(7)
+    return [random_packet(rng, (0, 1, 2, 5, 40, 300, 4096)) for _ in range(200)]
 
 
 class TestEncode:
@@ -87,6 +119,42 @@ class TestEncode:
             pk.encode(pk.Packet(1, 2, 3, qubits=(pk.QubitDescriptor(1, 0, 7),)))
         with pytest.raises(pk.EncodeValidationError):
             pk.encode(pk.Packet(1, 2, 3, version=2))
+
+    @pytest.mark.parametrize("qubits, message", [
+        # the first bad descriptor is reported, its fields checked in the
+        # order qubit_id, entanglement_group, encoding
+        ([(1,), (True, 2, 7), (2**32,)], "qubit_id=True is not an integer "
+         "in [0, 4294967295]"),
+        ([(1.5, True, 7)], "qubit_id=1.5 is not an integer in [0, 4294967295]"),
+        ([(2**32, 1.5)], "qubit_id=4294967296 is not an integer in "
+         "[0, 4294967295]"),
+        ([(-1,)], "qubit_id=-1 is not an integer in [0, 4294967295]"),
+        ([(3, 4), (1, True, 7), (1.5,)], "entanglement_group=True is not an "
+         "integer in [0, 4294967295]"),
+        ([(1, 1.5, 2)], "entanglement_group=1.5 is not an integer in "
+         "[0, 4294967295]"),
+        ([(1, 2**32)], "entanglement_group=4294967296 is not an integer in "
+         "[0, 4294967295]"),
+        ([(1, 0, True), (True,)], "encoding=True not in {0, 1}"),
+        ([(1, 0, 1.5)], "encoding=1.5 not in {0, 1}"),
+        ([(1, 0, 1.0)], "encoding=1.0 not in {0, 1}"),
+        ([(1,), (2, 3, 1), (4, 0, 2), (2**32,)], "encoding=2 not in {0, 1}"),
+        ([(1, 0, -1), (5, -1)], "encoding=-1 not in {0, 1}"),
+        ([(i, i) for i in range(300)] + [(None,)], "qubit_id=None is not an "
+         "integer in [0, 4294967295]"),
+    ])
+    def test_first_bad_descriptor_is_reported(self, qubits, message):
+        p = pk.Packet(1, 2, 3, qubits=tuple(pk.QubitDescriptor(*q) for q in qubits))
+        with pytest.raises(pk.EncodeValidationError) as err:
+            pk.encode(p)
+        assert str(err.value) == message
+
+    def test_frames_pinned(self):
+        sha = hashlib.sha256()
+        for p in large_packets():
+            sha.update(pk.encode(p))
+        assert sha.hexdigest() == ("dbd9da7d76246d16feb60be4c68b4487"
+                                   "fda6b56e690eaccfd61e8cabdec578ca")
 
     def test_u64_timestamps_beyond_u32(self):
         # nanosecond clocks pass 2**32 after ~4.3 simulated seconds
@@ -165,9 +233,7 @@ class TestDecode:
             assert isinstance(err.value.offset, int)
 
     def test_arbitrary_junk_never_crashes(self):
-        rng = random.Random(31337)
-        for _ in range(2000):
-            blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 120)))
+        for blob in junk_corpus():
             try:
                 pk.decode(blob)
             except pk.PacketError:
@@ -183,18 +249,35 @@ class TestDecode:
             assert 0 <= err.offset <= len(data)
 
     def test_random_mutations_report_structured_errors(self):
-        rng = random.Random(4242)
         clean = 0
-        for _ in range(500):
-            data = bytearray(pk.encode(random_packet(rng)))
-            for _ in range(rng.choice([1, 1, 2, 5])):
-                data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        for data in mutation_corpus():
             try:
-                pk.decode(bytes(data))
+                pk.decode(data)
                 clean += 1          # mutation cancelled itself out
             except pk.PacketError as err:
                 assert isinstance(err.offset, int)
         assert clean < 10
+
+    def test_outcomes_pinned(self):
+        # decoded dicts, and the class, offset and message of every error,
+        # over the junk and mutation corpora
+        sha = hashlib.sha256()
+        for data in (*junk_corpus(), *mutation_corpus()):
+            sha.update(repr(decode_outcome(data)).encode())
+        assert sha.hexdigest() == ("c0753f2ebdfcc98f7731e6535d6676d1"
+                                   "bb9e2e2e165862acab1858ae0c3078ca")
+
+
+class TestDescriptor:
+    def test_immutable(self):
+        q = pk.QubitDescriptor(5, 9, 1)
+        with pytest.raises(AttributeError):
+            q.qubit_id = 6
+        assert q == pk.QubitDescriptor(5, 9, 1)
+        assert hash(q) == hash(pk.QubitDescriptor(5, 9, 1))
+
+    def test_defaults(self):
+        assert pk.QubitDescriptor(5) == pk.QubitDescriptor(5, 0, pk.ENCODING_DV)
 
 
 class TestCrc32:
