@@ -82,8 +82,12 @@ def diffraction_transmittance(beam: BeamParams, rx_radius: float, z: float) -> f
         raise ValueError(f"rx_radius must be > 0, got {rx_radius}")
     if z <= 0:
         raise ValueError(f"z must be > 0, got {z}")
-    w = beam_radius(beam, z)
-    return 1.0 - math.exp(-2.0 * rx_radius**2 / w**2)
+    try:
+        w = beam_radius(beam, z)
+        return 1.0 - math.exp(-2.0 * rx_radius**2 / w**2)
+    except ArithmeticError:
+        _check_budget(beam, rx_radius, z)
+        raise
 
 
 def _squares(x: float) -> bool:
@@ -97,7 +101,7 @@ def _squares(x: float) -> bool:
 
 def _check_budget(beam: BeamParams, rx_radius: float, distance: float) -> None:
     """Raise a ValueError naming the field that takes the float arithmetic
-    of diffraction_transmittance out of range, where it would raise."""
+    of diffraction_transmittance out of range."""
     if not _squares(beam.w0) or beam.rayleigh_range == 0.0:
         raise ValueError(f"w0={beam.w0!r} at wavelength={beam.wavelength!r} "
                          f"puts the Rayleigh range out of the float range")
@@ -127,7 +131,6 @@ class FixedDiffraction:
     def __post_init__(self):
         _check_real(self.rx_radius, "rx_radius")
         _check_real(self.distance, "distance")
-        _check_budget(self.beam, self.rx_radius, self.distance)
 
     @property
     def eta(self) -> float:

@@ -121,18 +121,14 @@ def _cmd_rates_sweep(args) -> int:
         waists = _parse_grid(args.waist_grid)
         rx_radii = _parse_grid(args.rx_grid)
         _check_flags(args, ("distance", "wavelength", "samples"), ("b",))
-        for w0 in waists:   # every grid point's link budget fits in floats
-            beam = ch.BeamParams(w0, args.wavelength)
-            for rx in rx_radii:
-                ch.FixedDiffraction(beam, rx, args.distance)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    with _output(args.output) as out:
         surface = rates.sweep(waists, rx_radii, args.distance, args.b,
                               wavelength=args.wavelength, n_samples=args.samples,
                               seed=args.seed if args.seed is not None else 0,
                               parallel=args.parallel)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    with _output(args.output) as out:
         rows = ((w0, rx, float(surface.mean_rates[i, j]))
                 for i, w0 in enumerate(waists) for j, rx in enumerate(rx_radii))
         if args.format == "jsonl":
@@ -175,10 +171,6 @@ def _cmd_channel_sample(args) -> int:
             raise ValueError(f"--t-step {args.t_step} puts sample {args.n - 1} "
                              f"past 2**63 fade intervals")
         model = _build_channel_model(args)
-    except (ValueError, ch.InfeasibleTargetError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    with _output(args.output) as out:
         seed = args.seed if args.seed is not None else 0
         rng = make_stream(seed, "channel-sample", args.model)
         times = np.arange(args.n, dtype=float)
@@ -190,6 +182,10 @@ def _cmd_channel_sample(args) -> int:
             times *= (model.fade_coherence_time if args.t_step is None
                       else args.t_step)
             etas = ch.sample_uplink(model, rng, times)
+    except (ValueError, ch.InfeasibleTargetError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    with _output(args.output) as out:
         rows = ((float(t), float(e)) for t, e in zip(times, etas))
         if args.format == "jsonl":
             for t, e in rows:

@@ -162,16 +162,6 @@ def _validate(p: Packet) -> None:
             f"error_corr too long: {len(p.error_corr)} bytes")
     if not p.ack_present and p.ack_session_id != 0:
         raise EncodeValidationError("ack_session_id must be 0 without the ack flag")
-    if p.qubits:
-        # column-wise in C; the loop below only runs to name the first bad
-        # descriptor
-        ids, groups, encodings = zip(*p.qubits)
-        if (set(map(type, ids)) == set(map(type, groups))
-                == set(map(type, encodings)) == {int}
-                and 0 <= min(ids) and max(ids) <= _U32
-                and 0 <= min(groups) and max(groups) <= _U32
-                and set(encodings) <= {ENCODING_DV, ENCODING_CV_REFERENCE}):
-            return
     for q in p.qubits:
         if type(q.qubit_id) is not int or not 0 <= q.qubit_id <= _U32:
             raise EncodeValidationError(

@@ -248,7 +248,9 @@ class TestModelValidation:
     ])
     def test_budget_out_of_float_range(self, w0, rx, z, field):
         with pytest.raises(ValueError, match=f"^{field}="):
-            ch.FixedDiffraction(ch.BeamParams(w0), rx, z)
+            ch.diffraction_transmittance(ch.BeamParams(w0), rx, z)
+        with pytest.raises(ValueError, match=f"^{field}="):
+            ch.FixedDiffraction(ch.BeamParams(w0), rx, z).eta
 
     def test_budget_at_the_float_edge_is_kept(self):
         # an infinite Rayleigh range leaves the beam at its waist

@@ -156,14 +156,19 @@ class TestRatesSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize("grids", [
-        ["--waist-grid", "0.1:1:10000000000000"],
-        ["--waist-grid", "0.1", "--rx-grid", "0.1", "--samples", "10000000000000"],
+        ["--waist-grid", "0.1:1:100000000000000000"],
+        ["--waist-grid", "0.1", "--rx-grid", "0.1",
+         "--samples", "100000000000000000"],
     ])
     def test_unallocatable_request_exits_3(self, tmp_path, capsys, grids):
-        # 10**13 grid points or samples: the allocation fails at once
+        # 10**17 grid points or samples need 8e17 bytes, more than the 2**57
+        # bytes of any x86-64 or arm64 user address space, so the allocation
+        # fails at once
+        out = tmp_path / "never.csv"
         assert run_cli(["rates-sweep", "--distance", "1e6", *grids,
-                        "--output", str(tmp_path / "out.csv")]) == 3
+                        "--output", str(out)]) == 3
         assert "runtime failure: out of memory: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_jsonl_format(self, tmp_path):
         out = tmp_path / "sweep.jsonl"
@@ -272,6 +277,14 @@ class TestChannelSample:
         assert run_cli(["channel-sample", "--model", "fixed", "--n", "2",
                         *flags, "--output", str(out)]) == 2
         assert f"config error: {field}=" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unallocatable_request_exits_3(self, tmp_path, capsys):
+        # 10**17 rows need 8e17 bytes, more than any user address space
+        out = tmp_path / "never.csv"
+        assert run_cli(["channel-sample", "--model", "downlink", "--n",
+                        "100000000000000000", "--output", str(out)]) == 3
+        assert "runtime failure: out of memory: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_infeasible_calibration_exits_2(self):
