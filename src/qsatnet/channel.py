@@ -76,12 +76,11 @@ def diffraction_transmittance(beam: BeamParams, rx_radius: float, z: float) -> f
     """Power fraction of a centered Gaussian beam through a circular aperture.
 
     eta = 1 - exp(-2 * rx_radius^2 / w(z)^2).  Strictly decreasing in z and
-    strictly increasing in rx_radius.
+    strictly increasing in rx_radius.  rx_radius and the distance z must be
+    finite and > 0: at infinity the formula gives 0 or 1 with no error.
     """
-    if rx_radius <= 0:
-        raise ValueError(f"rx_radius must be > 0, got {rx_radius}")
-    if z <= 0:
-        raise ValueError(f"z must be > 0, got {z}")
+    _check_real(rx_radius, "rx_radius")
+    _check_real(z, "distance")
     try:
         w = beam_radius(beam, z)
         return 1.0 - math.exp(-2.0 * rx_radius**2 / w**2)

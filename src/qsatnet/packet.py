@@ -162,19 +162,17 @@ def _validate(p: Packet) -> None:
             f"error_corr too long: {len(p.error_corr)} bytes")
     if not p.ack_present and p.ack_session_id != 0:
         raise EncodeValidationError("ack_session_id must be 0 without the ack flag")
-    for q in p.qubits:
-        if type(q.qubit_id) is not int or not 0 <= q.qubit_id <= _U32:
+    for qid, group, enc in p.qubits:
+        if type(qid) is not int or not 0 <= qid <= _U32:
             raise EncodeValidationError(
-                f"qubit_id={q.qubit_id!r} is not an integer in [0, {_U32}]")
-        if (type(q.entanglement_group) is not int
-                or not 0 <= q.entanglement_group <= _U32):
+                f"qubit_id={qid!r} is not an integer in [0, {_U32}]")
+        if type(group) is not int or not 0 <= group <= _U32:
             raise EncodeValidationError(
-                f"entanglement_group={q.entanglement_group!r} is not an "
-                f"integer in [0, {_U32}]")
-        if type(q.encoding) is not int or q.encoding not in (
+                f"entanglement_group={group!r} is not an integer in "
+                f"[0, {_U32}]")
+        if type(enc) is not int or enc not in (
                 ENCODING_DV, ENCODING_CV_REFERENCE):
-            raise EncodeValidationError(
-                f"encoding={q.encoding!r} not in {{0, 1}}")
+            raise EncodeValidationError(f"encoding={enc!r} not in {{0, 1}}")
 
 
 def encode(p: Packet) -> bytes:

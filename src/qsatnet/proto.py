@@ -39,7 +39,7 @@ import numpy as np
 
 from . import channel as ch
 from . import geom
-from .engine import Engine, Event, RngStream
+from .engine import DRAW_CHUNK, Engine, Event, RngStream
 from .rates import rci_array
 
 
@@ -162,9 +162,6 @@ class DistillationPolicy:
 
 def distilled_count(n_valid: int, yield_rate: float) -> int:
     return int(math.floor(n_valid * yield_rate))
-
-
-DRAW_CHUNK = 8192   # most pairs a session draws ahead of its batches
 
 
 class PairDraws:

@@ -4,12 +4,18 @@ The per-use rate of a pure-loss channel with transmittance eta is
 -log2(1 - eta), an achievable distillation rate with loss as the only noise
 process.  Channel models with random loss are averaged by Monte Carlo with
 per-grid-point substreams, so every surface is reproducible bit-for-bit for
-a given seed, serial or parallel.
+a given seed, serial or parallel.  A downlink mean draws its fades and maps
+them to rates DRAW_CHUNK at a time, so one chunk's temporaries stay in a
+core's cache, and then sums the whole buffer of rates at once: the streams
+are counter-based, so the mean is the one an unchunked draw would give.
+A parallel sweep runs its grid points on at most SWEEP_THREADS threads and
+never more than the CPUs the process may use.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -17,11 +23,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import channel as ch
-from .engine import RngStream, make_stream
+from .engine import DRAW_CHUNK, RngStream, make_stream
 
 LN2 = math.log(2.0)
 RATE_SATURATION = 60.0   # cap as eta -> 1, i.e. for eta above 1 - 2**-60
-SWEEP_THREADS = 4        # thread-pool size of a parallel sweep
+SWEEP_THREADS = 4        # most threads a parallel sweep uses
 
 
 def rci_array(eta) -> np.ndarray:
@@ -48,7 +54,9 @@ def mean_rate(model: ch.OpticalChannelModel, n_samples: int,
     A model without fading (FixedDiffraction, a downlink with b = 0, an
     uplink without wander) gives the rate of its one transmittance with no
     sampling; the fading models draw n_samples independent transmittances
-    from the given stream.
+    from the given stream.  A downlink fills one buffer of n_samples rates
+    in chunks of DRAW_CHUNK draws, so its peak memory is that buffer plus
+    one chunk's temporaries.
     """
     if isinstance(model, ch.FixedDiffraction):
         return float(rci_array(model.eta))
@@ -59,16 +67,20 @@ def mean_rate(model: ch.OpticalChannelModel, n_samples: int,
             return float(rci_array(model.eta0))
         if rng is None:
             raise ValueError("a random stream is required for a fading model")
-        etas = ch.sample_downlink(model, rng, n_samples)
+        n = int(n_samples)
+        rates = np.empty(n)
+        for lo in range(0, n, DRAW_CHUNK):
+            k = min(DRAW_CHUNK, n - lo)
+            rates[lo:lo + k] = rci_array(ch.sample_downlink(model, rng, k))
     elif isinstance(model, ch.UplinkPointingFade):
         if model.sigma_wander == 0.0:
             return float(rci_array(model.eta_diffraction))
         if rng is None:
             raise ValueError("a random stream is required for a fading model")
-        etas = ch.uplink_interval_samples(model, rng, n_samples)
+        rates = rci_array(ch.uplink_interval_samples(model, rng, n_samples))
     else:
         raise TypeError(f"unsupported channel model {model!r}")
-    return float(np.mean(rci_array(etas)))
+    return float(np.mean(rates))
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,15 @@ def _point_rate(tx_waist: float, rx_radius: float, distance: float, b: float,
     return mean_rate(model, n_samples, rng)
 
 
+def _sweep_threads() -> int:
+    """SWEEP_THREADS, or fewer when the process may use fewer CPUs."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        usable = os.cpu_count() or 1
+    return min(SWEEP_THREADS, usable)
+
+
 def sweep(tx_waists: Sequence[float], rx_radii: Sequence[float], distance: float,
           b: float, wavelength: float = ch.DEFAULT_WAVELENGTH,
           n_samples: int = 100_000, seed: int = 0,
@@ -110,8 +131,6 @@ def sweep(tx_waists: Sequence[float], rx_radii: Sequence[float], distance: float
     """
     if len(tx_waists) == 0 or len(rx_radii) == 0:
         raise ValueError("grid axes must be non-empty")
-    if distance <= 0:
-        raise ValueError(f"distance must be > 0, got {distance}")
     rates = np.zeros((len(tx_waists), len(rx_radii)))
     jobs = [(i, j) for i in range(len(tx_waists)) for j in range(len(rx_radii))]
 
@@ -121,7 +140,7 @@ def sweep(tx_waists: Sequence[float], rx_radii: Sequence[float], distance: float
                            wavelength, n_samples, seed, i, j)
 
     if parallel:
-        with ThreadPoolExecutor(max_workers=SWEEP_THREADS) as pool:
+        with ThreadPoolExecutor(max_workers=_sweep_threads()) as pool:
             for (i, j), value in zip(jobs, pool.map(compute, jobs)):
                 rates[i, j] = value
     else:

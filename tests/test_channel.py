@@ -252,6 +252,18 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=f"^{field}="):
             ch.FixedDiffraction(ch.BeamParams(w0), rx, z).eta
 
+    @pytest.mark.parametrize("rx, z, field", [
+        (math.inf, 1e6, "rx_radius"),     # would give eta = 1
+        (math.nan, 1e6, "rx_radius"),
+        (0.0, 1e6, "rx_radius"),
+        (1.25, math.inf, "distance"),     # would give eta = 0
+        (1.25, math.nan, "distance"),
+        (1.25, -1.0, "distance"),
+    ])
+    def test_nonfinite_budget_rejected(self, rx, z, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+            ch.diffraction_transmittance(ch.BeamParams(0.2), rx, z)
+
     def test_budget_at_the_float_edge_is_kept(self):
         # an infinite Rayleigh range leaves the beam at its waist
         model = ch.FixedDiffraction(ch.BeamParams(1e154), 1e153, 1e300)

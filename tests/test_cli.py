@@ -120,6 +120,72 @@ class TestRatesSweep:
         run_cli(args + ["--parallel", "--output", str(parallel)])
         assert serial.read_bytes() == parallel.read_bytes()
 
+    # default 10x10 grids at seed 7; sample counts around the Monte-Carlo
+    # draw chunk of 16384 and two chunk boundaries (40000)
+    @pytest.mark.parametrize("args,digest", [
+        ("1200e3 csv 1",
+         "4a83217c803876f2c015f025b3ac0a8d5b5e024afbe44da4d147007ac78ea3a2"),
+        ("1200e3 csv 16383",
+         "349ae7a9eaf6a8b4b053c3f00b7ec24af8253b49849a3713c085e30e520533ac"),
+        ("1200e3 csv 16384",
+         "20a9c81ea27cc0ad5f62434ed7b164b99af6227786bf792e9c7f77e3909ab75a"),
+        ("1200e3 csv 16385",
+         "fff1bddf1d8b2346d997adc720c8d48cb257246fc5673f67fc254b2ec42f213b"),
+        ("1200e3 csv 40000",
+         "26f1eafa10359f49f8275fc563c1ec5d05cdb87a084890d348dbcbe103f61e83"),
+        ("1200e3 jsonl 1",
+         "6f4dd407d4f9acc1ceb3103740d09c9174fe271bc6fb107ce0d9503f99fe72d4"),
+        ("1200e3 jsonl 16383",
+         "9e3254b26407979a0440093e221d94ab1ed1803b33c201142020449ec56f1457"),
+        ("1200e3 jsonl 16384",
+         "14674115df4db219c847529471ba793699c327520616369903a9f31b2ffe916b"),
+        ("1200e3 jsonl 16385",
+         "5ef2f7e3f7095a7486eceb77a63d8b666a1e70a3a7201d17e17dfd5541ed499f"),
+        ("1200e3 jsonl 40000",
+         "eed692e3d1d15eb2d84d1ee4532818222a42586ee7a380eeedfef8837a50b1d3"),
+        ("36000e3 csv 1",
+         "0a42577b4d93d73a35512aec4036282790475b799285b91121cf8db404bf64bb"),
+        ("36000e3 csv 16383",
+         "03c827af973ce5c08e7fef3e46a92cd81d4b166bcd40457dac04c06ca262e891"),
+        ("36000e3 csv 16384",
+         "ff69b748907238e214eb01f5c49033f9760a5cdee4cb351226e4b248d7f5c341"),
+        ("36000e3 csv 16385",
+         "64d59a1f9d214e3ccc9b0910b7724ff41a1d476c117c536b8db49f5803fbc7d0"),
+        ("36000e3 csv 40000",
+         "eb8b278e1dafd749509a127865f698408a98e8a7df04175c15359f355ba9fdea"),
+        ("36000e3 csv 100000",
+         "f3a08485db71668434f13ef70c4e9aa695cd3e2be348128f2c2c97c718e1e0b6"),
+        ("36000e3 jsonl 1",
+         "da79a916c8795c4915d8e4070cc891307fe429b129807724a9cd26c92f21b8bc"),
+        ("36000e3 jsonl 16383",
+         "85e94073dde13c6185ece8a18ba2c7a1a871d259eaadf7573eee4ad533fbc314"),
+        ("36000e3 jsonl 16384",
+         "c43d3dab0776b8f3d1f6c93499c3813061658e4fb6a151ad571d7b29301c668e"),
+        ("36000e3 jsonl 16385",
+         "0c7d42e2d5c9c33c2721c9848abc5b6ca32546370da2b1384784c1a43c46eb3b"),
+        ("36000e3 jsonl 40000",
+         "f5b9638763a10a5a12043292601f03e051d31cbe8f6e3d6b5f17d9831bc167eb"),
+    ])
+    def test_bytes_pinned(self, tmp_path, args, digest):
+        distance, fmt, samples = args.split()
+        out = tmp_path / "sweep.out"
+        assert run_cli(["rates-sweep", "--distance", distance, "--b", "0.1",
+                        "--format", fmt, "--samples", samples, "--seed", "7",
+                        "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("csv", "fc55ecca2f955bac9866883e74623a0581d31eba569df37377fcd85b88d17500"),
+        ("jsonl",
+         "9971284fcc03c4d7e4a1255538328b6c7e3eedfffbde8e83b38ce55a1b5a9caf"),
+    ])
+    def test_b_zero_bytes_pinned(self, tmp_path, fmt, digest):
+        out = tmp_path / "sweep.out"
+        assert run_cli(["rates-sweep", "--distance", "1200e3", "--b", "0",
+                        "--format", fmt, "--samples", "16385",
+                        "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_default_grids_coordination_distance_bound(self, tmp_path):
         # default 10x10 grid at 36000 km: every mean rate below 0.05
         out = tmp_path / "geo.csv"

@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qsatnet.engine import Engine, EngineError, derive_key, make_stream
+from qsatnet.engine import (DRAW_CHUNK, Engine, EngineError, derive_key,
+                            make_stream)
 
 
 def test_schedule_at_now_runs_after_current_handler():
@@ -126,6 +129,46 @@ def test_normal_moments():
     z = make_stream(0, "normal-check").standard_normal(1_000_000)
     assert abs(z.mean()) < 3.0 / 1000.0
     assert abs(z.std() - 1.0) < 5.0 / 1000.0
+
+
+@pytest.mark.parametrize("skip,n,digest,counter", [
+    # after random(3) the normals start at an odd counter slot
+    (3, 2**15 + 3,
+     "2452bff951362ced78bdf90b25d96398fc977def3605377e24bad8db10c19d77", 65545),
+    (0, 2**15 + 3,
+     "799b26f9a649be835c0d8213876a297ab2d83fcbc8a7eabe4a4b230d446bf9fd", 65542),
+])
+def test_normal_values_pinned(skip, n, digest, counter):
+    s = make_stream(11, "normal-pin")
+    s.random(skip)
+    z = s.standard_normal(n)
+    assert z.dtype == np.float64 and z.shape == (n,)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == digest
+    assert s._counter == counter == skip + 2 * n
+
+
+def test_normal_small_counts_pinned():
+    s = make_stream(11, "normal-pin")
+    z = s.standard_normal(0)
+    assert z.shape == (0,) and s._counter == 0
+    one = s.standard_normal(1)
+    assert one.tolist() == [-0.43303990890658556] and s._counter == 2
+    scalar = make_stream(11, "normal-pin").standard_normal()
+    assert type(scalar) is float and scalar == -0.43303990890658556
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(skip=st.integers(0, 3), a=st.integers(0, 2 * DRAW_CHUNK + 2),
+       b=st.integers(0, 2 * DRAW_CHUNK + 2))
+@example(skip=1, a=DRAW_CHUNK - 1, b=2)
+@example(skip=0, a=DRAW_CHUNK, b=DRAW_CHUNK + 1)
+def test_split_normal_draws_match_one_draw(skip, a, b):
+    split, whole = make_stream(5, "split"), make_stream(5, "split")
+    split.random(skip)
+    whole.random(skip)
+    parts = np.concatenate((split.standard_normal(a), split.standard_normal(b)))
+    assert np.array_equal(parts, whole.standard_normal(a + b))
+    assert split._counter == whole._counter == skip + 2 * (a + b)
 
 
 def test_indexed_access_matches_sequential():

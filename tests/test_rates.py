@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,36 @@ class TestMeanRate:
         rng = make_stream(2, "ulq")
         assert rates.mean_rate(model, 1_000_000, rng) == float(samples.mean())
 
+    @pytest.mark.parametrize("n,value", [
+        (1, 0.5040040702517116),
+        (40_000, 0.4663231610750212),
+        (100_000, 0.4664411505308551),
+    ])
+    def test_downlink_mean_rate_pinned(self, n, value):
+        model = ch.DownlinkGaussianTail(0.3, 0.1)
+        assert rates.mean_rate(model, n, make_stream(3, "pin", "down")) == value
+
+    @pytest.mark.parametrize("n,value", [
+        (40_000, 0.5113137046731125),
+        (100_000, 0.5114713204614251),
+    ])
+    def test_uplink_mean_rate_pinned(self, n, value):
+        model = ch.UplinkPointingFade(0.4, 1.0, 0.3)
+        assert rates.mean_rate(model, n, make_stream(3, "pin", "up")) == value
+
+    def test_downlink_peak_memory_is_the_rate_buffer(self):
+        # the draws are made and mapped to rates chunk by chunk, so the
+        # traced peak stays under twice the 8 MB buffer of 10**6 rates
+        n = 10**6
+        model, rng = ch.DownlinkGaussianTail(0.3, 0.1), make_stream(6, "mem")
+        tracemalloc.start()
+        try:
+            rates.mean_rate(model, n, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n
+
     def test_requires_stream_for_fading(self):
         with pytest.raises(ValueError):
             rates.mean_rate(ch.DownlinkGaussianTail(0.3, 0.1), 10)
@@ -168,3 +199,14 @@ class TestSweep:
             rates.sweep([], [0.5], 1200e3, 0.1)
         with pytest.raises(ValueError):
             rates.sweep([0.5], [0.5], -1.0, 0.1)
+
+    @pytest.mark.parametrize("rx, distance, field", [
+        (1.0, math.inf, "distance"), (1.0, math.nan, "distance"),
+        (math.inf, 1200e3, "rx_radius"), (math.nan, 1200e3, "rx_radius"),
+    ])
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_nonfinite_budget_rejected(self, rx, distance, field, parallel):
+        # an infinite distance used to give an all-zero surface, silently
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            rates.sweep([0.1], [rx], distance, 0.1, n_samples=10,
+                        parallel=parallel)
