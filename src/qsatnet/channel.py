@@ -67,8 +67,7 @@ class BeamParams:
 
 def beam_radius(beam: BeamParams, z: float) -> float:
     """Beam radius w(z) = w0 * sqrt(1 + (z*lambda/(pi*w0^2))^2), z >= 0."""
-    if z < 0:
-        raise ValueError(f"z must be >= 0, got {z}")
+    _check_real(z, "z", strict=False)
     return beam.w0 * math.sqrt(1.0 + (z / beam.rayleigh_range) ** 2)
 
 
@@ -212,10 +211,10 @@ def sample_uplink(model: UplinkPointingFade, rng: RngStream, t):
 
 
 def uplink_interval_samples(model: UplinkPointingFade, rng: RngStream,
-                            n: int) -> np.ndarray:
-    """Transmittances of coherence intervals 0 .. n-1: the values that
-    sample_uplink gives at every t with fade_interval(t) = k."""
-    return _fades_at(model, rng, np.arange(int(n)))
+                            n: int, start: int = 0) -> np.ndarray:
+    """Transmittances of coherence intervals start .. start+n-1: the values
+    that sample_uplink gives at every t with fade_interval(t) = k."""
+    return _fades_at(model, rng, np.arange(start, start + int(n)))
 
 
 def mean_uplink_transmittance(model: UplinkPointingFade) -> float:

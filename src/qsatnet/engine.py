@@ -159,7 +159,6 @@ class Engine:
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
         self._now = 0.0
-        self._next_seq = 0
         self._queue: list[tuple[float, int, Event]] = []
         self.scheduled_count = 0
         self.processed_count = 0
@@ -178,10 +177,10 @@ class Engine:
         if not t >= self._now:     # also rejects NaN
             raise EngineError(
                 f"cannot schedule '{kind}' at t={t}, current t={self._now}")
-        ev = Event(t, self._next_seq, kind, payload if payload is not None else {}, handler)
-        self._next_seq += 1
-        heapq.heappush(self._queue, (ev.time, ev.seq, ev))
+        ev = Event(t, self.scheduled_count, kind,
+                   payload if payload is not None else {}, handler)
         self.scheduled_count += 1
+        heapq.heappush(self._queue, (ev.time, ev.seq, ev))
         return ev
 
     def run_until(self, t_end: float) -> int:
@@ -194,7 +193,7 @@ class Engine:
         t_end = float(t_end)
         if not t_end >= self._now:     # also rejects NaN
             raise EngineError(f"cannot run until t={t_end}, current t={self._now}")
-        processed = 0
+        start = self.processed_count
         while self._queue and self._queue[0][0] <= t_end:
             _, _, ev = heapq.heappop(self._queue)
             self._now = ev.time
@@ -208,7 +207,6 @@ class Engine:
                     f"handler failed on event '{ev.kind}' (seq={ev.seq}, t={ev.time}): {exc}"
                 ) from exc
             self.processed_count += 1
-            processed += 1
         self._now = t_end
-        return processed
+        return self.processed_count - start
 

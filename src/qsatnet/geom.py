@@ -30,6 +30,11 @@ class Tier(Enum):
     GEO = "GEO"
 
 
+def _check_aperture(radius: float) -> None:
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"aperture_radius must be finite and > 0, got {radius}")
+
+
 @dataclass(frozen=True)
 class GroundStation:
     """Ground node with a telescope aperture and a pair memory.
@@ -49,10 +54,10 @@ class GroundStation:
             raise ValueError(f"station id must be non-negative, got {self.id}")
         if not -math.pi / 2 <= self.latitude <= math.pi / 2:
             raise ValueError(f"latitude {self.latitude} outside [-pi/2, pi/2]")
-        if self.aperture_radius <= 0:
-            raise ValueError(f"aperture_radius must be > 0, got {self.aperture_radius}")
-        if self.memory_coherence_time <= 0:
-            raise ValueError("memory_coherence_time must be > 0")
+        _check_aperture(self.aperture_radius)
+        if not self.memory_coherence_time > 0:     # also rejects NaN
+            raise ValueError(f"memory_coherence_time must be > 0, "
+                             f"got {self.memory_coherence_time}")
         if self.memory_capacity < 0:
             raise ValueError("memory_capacity must be >= 0")
 
@@ -71,8 +76,7 @@ class Satellite:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError(f"satellite id must be non-negative, got {self.id}")
-        if self.aperture_radius <= 0:
-            raise ValueError(f"aperture_radius must be > 0, got {self.aperture_radius}")
+        _check_aperture(self.aperture_radius)
         if self.tier is Tier.GEO:
             if not math.isclose(self.altitude, GEO_ALTITUDE, rel_tol=1e-9):
                 raise ValueError(
@@ -134,16 +138,23 @@ def ground_position(gs: GroundStation, t: float = 0.0,
     ])
 
 
+def line_of_sight(ground_pos: np.ndarray,
+                  target_pos: np.ndarray) -> tuple[float, float]:
+    """Length [m] and angle above the local horizon plane [rad] of the line
+    of sight from a ground position to a target."""
+    ground = np.asarray(ground_pos, dtype=float)
+    los = np.asarray(target_pos, dtype=float) - ground
+    distance = float(np.linalg.norm(los))
+    if distance == 0.0:
+        raise ValueError("coincident points: elevation undefined")
+    up = ground / float(np.linalg.norm(ground))
+    sin_el = float(np.dot(los, up)) / distance
+    return distance, math.asin(min(1.0, max(-1.0, sin_el)))
+
+
 def elevation_angle(ground_pos: np.ndarray, target_pos: np.ndarray) -> float:
     """Angle of the line of sight above the local horizon plane [rad]."""
-    los = np.asarray(target_pos, dtype=float) - np.asarray(ground_pos, dtype=float)
-    los_norm = float(np.linalg.norm(los))
-    if los_norm == 0.0:
-        raise ValueError("coincident points: elevation undefined")
-    up = np.asarray(ground_pos, dtype=float)
-    up = up / float(np.linalg.norm(up))
-    sin_el = float(np.dot(los, up)) / los_norm
-    return math.asin(min(1.0, max(-1.0, sin_el)))
+    return line_of_sight(ground_pos, target_pos)[1]
 
 
 def link_geometry(pos_a: np.ndarray, pos_b: np.ndarray) -> LinkGeometry:

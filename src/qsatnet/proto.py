@@ -40,7 +40,7 @@ import numpy as np
 from . import channel as ch
 from . import geom
 from .engine import DRAW_CHUNK, Engine, Event, RngStream
-from .rates import rci_array
+from .rates import chunked_mean, rci_array
 
 
 class Phase(Enum):
@@ -86,8 +86,8 @@ class EbitPool:
     """
 
     def __init__(self, coherence_time: float, capacity: int):
-        if coherence_time <= 0:
-            raise ValueError("coherence_time must be > 0")
+        if not coherence_time > 0:     # also rejects NaN
+            raise ValueError(f"coherence_time must be > 0, got {coherence_time}")
         self.coherence_time = coherence_time
         self.capacity = capacity
         self.raw: list[tuple[Sequence[int], float]] = []
@@ -307,6 +307,15 @@ class Network:
         self._transition(sess, Phase.FAILED)
         self._emit(sess.id, "session_failed", {"reason": reason})
 
+    def _at(self, t: float, kind: str, step: Callable[..., None],
+            sess: Session, **payload) -> None:
+        """Run step(sess, **payload) at time t, unless the session has
+        ended (DONE or FAILED) by then."""
+        def guarded(ev: Event) -> None:
+            if sess.phase not in TERMINAL_PHASES:
+                step(sess, **payload)
+        self.engine.schedule(t, kind, guarded)
+
     # -- step 1: terrestrial request ----------------------------------------
 
     def request(self, a_id: int, b_id: int, qubits: int, pairs_target: int,
@@ -352,16 +361,12 @@ class Network:
                    {"from": a_id, "to": b_id, "geo": geo_id, "qubits": qubits,
                     "pairs_target": pairs_target, "send_t": t0,
                     "arrive_t": arrive_t})
-        self.engine.schedule(arrive_t, "request_arrival", self._on_request_arrival,
-                             {"session_id": sess.id})
+        self._at(arrive_t, "request_arrival", self._on_request_arrival, sess)
         return sess
 
     # -- step 2: coordination ------------------------------------------------
 
-    def _on_request_arrival(self, ev: Event) -> None:
-        sess = self.sessions[ev.payload["session_id"]]
-        if sess.phase in TERMINAL_PHASES:
-            return
+    def _on_request_arrival(self, sess: Session) -> None:
         now = self.engine.now
         self._emit(sess.id, "request_received", {"geo": sess.geo_id})
         leos = [s for s in self.satellites.values() if s.tier is geom.Tier.LEO]
@@ -380,40 +385,28 @@ class Network:
         self._emit(sess.id, "leo_command_sent",
                    {"geo": sess.geo_id, "leo": leo_id, "send_t": now,
                     "arrive_t": arrive_t})
-        self.engine.schedule(arrive_t, "leo_command_arrival",
-                             self._on_leo_command, {"session_id": sess.id})
+        self._at(arrive_t, "leo_command_arrival", self._on_leo_command, sess)
 
     # -- step 3: entanglement distribution ------------------------------------
 
-    def _on_leo_command(self, ev: Event) -> None:
-        sess = self.sessions[ev.payload["session_id"]]
-        if sess.phase in TERMINAL_PHASES:
-            return
+    def _on_leo_command(self, sess: Session) -> None:
         self._emit(sess.id, "leo_command_received", {"leo": sess.leo_id})
         self._transition(sess, Phase.DISTRIBUTING)
-        self.engine.schedule(self.engine.now, "distribution_batch",
-                             self._on_batch, {"session_id": sess.id})
+        self._at(self.engine.now, "distribution_batch", self._on_batch, sess)
 
     def _arm(self, leo: geom.Satellite, pos_leo: np.ndarray, station_id: int,
              t: float) -> tuple:
         """(downlink model, slant distance, elevation) from the relay to one
-        station; the geom.link_geometry and geom.elevation_angle arithmetic
-        over one line-of-sight vector."""
-        pos_gs = self._station_pos(station_id, t)
-        los = pos_leo - pos_gs
-        distance = float(np.linalg.norm(los))
-        up = pos_gs / float(np.linalg.norm(pos_gs))
-        sin_el = float(np.dot(los, up)) / distance
+        station."""
+        distance, elevation = geom.line_of_sight(
+            self._station_pos(station_id, t), pos_leo)
         eta0 = ch.diffraction_transmittance(
             ch.BeamParams(leo.aperture_radius, self.wavelength),
             self.stations[station_id].aperture_radius, distance)
         model = ch.DownlinkGaussianTail(eta0, self.downlink_b)
-        return model, distance, math.asin(min(1.0, max(-1.0, sin_el)))
+        return model, distance, elevation
 
-    def _on_batch(self, ev: Event) -> None:
-        sess = self.sessions[ev.payload["session_id"]]
-        if sess.phase in TERMINAL_PHASES:
-            return
+    def _on_batch(self, sess: Session) -> None:
         now = self.engine.now
         leo = self.satellites[sess.leo_id]
         pos_leo = geom.satellite_position(leo, now)
@@ -452,20 +445,15 @@ class Network:
                     "eta0_a": model_a.eta0, "eta0_b": model_b.eta0,
                     "b": self.downlink_b, "emit_t": now, "arrival_t": arrival_t,
                     "slant_a_m": slant_a, "slant_b_m": slant_b})
-        self.engine.schedule(arrival_t, "pairs_arrival", self._on_deposit,
-                             {"session_id": sess.id, "pair_ids": pair_ids})
+        self._at(arrival_t, "pairs_arrival", self._on_deposit, sess,
+                 pair_ids=pair_ids)
         if not sess.distribution_done:
-            self.engine.schedule(now + n / self.source_rate_hz,
-                                 "distribution_batch", self._on_batch,
-                                 {"session_id": sess.id})
+            self._at(now + n / self.source_rate_hz, "distribution_batch",
+                     self._on_batch, sess)
 
-    def _on_deposit(self, ev: Event) -> None:
-        sess = self.sessions[ev.payload["session_id"]]
+    def _on_deposit(self, sess: Session, pair_ids: range) -> None:
         sess.pending_deposits -= 1
-        if sess.phase in TERMINAL_PHASES:
-            return
         now = self.engine.now
-        pair_ids = ev.payload["pair_ids"]
         accepted = sess.pool.deposit_raw(pair_ids, now)
         sess.pairs_survived += len(accepted)
         self._emit(sess.id, "pairs_deposited",
@@ -489,24 +477,23 @@ class Network:
         self._emit(sess.id, "distill_started",
                    {"raw_count": raw_count, "rounds": sess.policy.rounds,
                     "rtt_s": rtt, "completion_t": completion_t})
-        self.engine.schedule(completion_t, "distill_completion",
-                             self._on_distill_complete, {"session_id": sess.id})
+        self._at(completion_t, "distill_completion", self._on_distill_complete,
+                 sess)
 
     def _session_yield_rate(self, sess: Session) -> float:
         if sess.policy.yield_rate is not None:
             return sess.policy.yield_rate
         # mean per-use rate of the two-arm product channel, sampled once per
-        # session from its own substream
-        streams = [self.engine.stream("proto", sess.id, arm)
-                   for arm in ("yield_a", "yield_b")]
-        eta_a, eta_b = (ch.sample_downlink(model, rng, sess.policy.yield_samples)
-                        for model, rng in zip(sess.arms, streams))
-        return min(1.0, float(np.mean(rci_array(eta_a * eta_b))))
+        # session from its own substreams
+        model_a, model_b = sess.arms
+        rng_a = self.engine.stream("proto", sess.id, "yield_a")
+        rng_b = self.engine.stream("proto", sess.id, "yield_b")
+        return min(1.0, chunked_mean(
+            lambda lo, k: rci_array(ch.sample_downlink(model_a, rng_a, k)
+                                    * ch.sample_downlink(model_b, rng_b, k)),
+            sess.policy.yield_samples))
 
-    def _on_distill_complete(self, ev: Event) -> None:
-        sess = self.sessions[ev.payload["session_id"]]
-        if sess.phase in TERMINAL_PHASES:
-            return
+    def _on_distill_complete(self, sess: Session) -> None:
         now = self.engine.now
         valid_ids = sess.pool.fresh_raw(now)
         yield_rate = self._session_yield_rate(sess)
@@ -524,15 +511,11 @@ class Network:
                     "yield_rate": yield_rate, "raw_consumed_ids": valid_ids,
                     "distilled_ids": list(distilled_ids), "completion_t": now})
         self._transition(sess, Phase.TELEPORTING)
-        self.engine.schedule(now, "teleport", self._on_teleport,
-                             {"session_id": sess.id})
+        self._at(now, "teleport", self._on_teleport, sess)
 
     # -- step 5: teleportation ---------------------------------------------------
 
-    def _on_teleport(self, ev: Event) -> None:
-        sess = self.sessions[ev.payload["session_id"]]
-        if sess.phase in TERMINAL_PHASES:
-            return
+    def _on_teleport(self, sess: Session) -> None:
         now = self.engine.now
         self._emit(sess.id, "teleport_started",
                    {"requested": sess.qubits_requested})
@@ -550,13 +533,9 @@ class Network:
         if delivered < sess.qubits_requested:
             self._fail(sess, Failure.INSUFFICIENT_ENTANGLEMENT)
             return
-        self.engine.schedule(delivery_t, "delivery_complete", self._on_delivered,
-                             {"session_id": sess.id})
+        self._at(delivery_t, "delivery_complete", self._on_delivered, sess)
 
-    def _on_delivered(self, ev: Event) -> None:
-        sess = self.sessions[ev.payload["session_id"]]
-        if sess.phase in TERMINAL_PHASES:
-            return
+    def _on_delivered(self, sess: Session) -> None:
         self._transition(sess, Phase.DONE)
         self._emit(sess.id, "session_done",
                    {"qubits_delivered": sess.qubits_delivered,

@@ -4,10 +4,11 @@ The per-use rate of a pure-loss channel with transmittance eta is
 -log2(1 - eta), an achievable distillation rate with loss as the only noise
 process.  Channel models with random loss are averaged by Monte Carlo with
 per-grid-point substreams, so every surface is reproducible bit-for-bit for
-a given seed, serial or parallel.  A downlink mean draws its fades and maps
-them to rates DRAW_CHUNK at a time, so one chunk's temporaries stay in a
-core's cache, and then sums the whole buffer of rates at once: the streams
-are counter-based, so the mean is the one an unchunked draw would give.
+a given seed, serial or parallel.  Every fading mean is a chunked_mean: it
+draws and maps to rates DRAW_CHUNK values at a time, so one chunk's
+temporaries stay in a core's cache, and then sums the whole buffer of rates
+at once: the streams are counter-based, so the mean is the one an unchunked
+draw would give.
 A parallel sweep runs its grid points on at most SWEEP_THREADS threads and
 never more than the CPUs the process may use.
 """
@@ -18,7 +19,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +48,17 @@ def rci_array(eta) -> np.ndarray:
     return np.minimum(out, RATE_SATURATION)
 
 
+def chunked_mean(rates_of: Callable[[int, int], np.ndarray], n: int) -> float:
+    """Mean of the rates rates_of(lo, k) gives for draws lo .. lo+k-1,
+    k <= DRAW_CHUNK at a time; its peak memory is one n-float buffer plus
+    one chunk's temporaries."""
+    rates = np.empty(n)
+    for lo in range(0, n, DRAW_CHUNK):
+        k = min(DRAW_CHUNK, n - lo)
+        rates[lo:lo + k] = rates_of(lo, k)
+    return float(np.mean(rates))
+
+
 def mean_rate(model: ch.OpticalChannelModel, n_samples: int,
               rng: Optional[RngStream] = None) -> float:
     """Monte-Carlo mean of the per-use rate over channel draws.
@@ -54,9 +66,8 @@ def mean_rate(model: ch.OpticalChannelModel, n_samples: int,
     A model without fading (FixedDiffraction, a downlink with b = 0, an
     uplink without wander) gives the rate of its one transmittance with no
     sampling; the fading models draw n_samples independent transmittances
-    from the given stream.  A downlink fills one buffer of n_samples rates
-    in chunks of DRAW_CHUNK draws, so its peak memory is that buffer plus
-    one chunk's temporaries.
+    from the given stream (an uplink: coherence intervals 0 .. n_samples-1)
+    through chunked_mean.
     """
     if isinstance(model, ch.FixedDiffraction):
         return float(rci_array(model.eta))
@@ -65,22 +76,20 @@ def mean_rate(model: ch.OpticalChannelModel, n_samples: int,
     if isinstance(model, ch.DownlinkGaussianTail):
         if model.b == 0.0:
             return float(rci_array(model.eta0))
-        if rng is None:
-            raise ValueError("a random stream is required for a fading model")
-        n = int(n_samples)
-        rates = np.empty(n)
-        for lo in range(0, n, DRAW_CHUNK):
-            k = min(DRAW_CHUNK, n - lo)
-            rates[lo:lo + k] = rci_array(ch.sample_downlink(model, rng, k))
+
+        def rates_of(lo, k):
+            return rci_array(ch.sample_downlink(model, rng, k))
     elif isinstance(model, ch.UplinkPointingFade):
         if model.sigma_wander == 0.0:
             return float(rci_array(model.eta_diffraction))
-        if rng is None:
-            raise ValueError("a random stream is required for a fading model")
-        rates = rci_array(ch.uplink_interval_samples(model, rng, n_samples))
+
+        def rates_of(lo, k):
+            return rci_array(ch.uplink_interval_samples(model, rng, k, lo))
     else:
         raise TypeError(f"unsupported channel model {model!r}")
-    return float(np.mean(rates))
+    if rng is None:
+        raise ValueError("a random stream is required for a fading model")
+    return chunked_mean(rates_of, int(n_samples))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,11 @@ class TestBeamRadius:
         with pytest.raises(ValueError):
             ch.beam_radius(ch.BeamParams(0.25), -1.0)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_z_rejected(self, z):
+        with pytest.raises(ValueError, match="z must be"):
+            ch.beam_radius(ch.BeamParams(0.25), z)
+
 
 class TestDiffractionTransmittance:
     """The three loss-budget witness points, frozen from the formula:

@@ -42,6 +42,13 @@ class TestRun:
         # b = 0: the arm fades consume no stream
         ("downlink_b = 0.0\nbatch_size = 100\n",
          "27a11406591a3916ea2e27676729613f37dead44ba87906def467c582eb54664"),
+        # the session yield's Monte-Carlo mean at and around its chunk edge
+        ("yield_samples = 1\n",
+         "9251ddefb05ec40c9645be615de4aafd54d3b5fc16fbbdf9d46f8a0b3882c644"),
+        ("yield_samples = 16384\n",
+         "c16abd15b2d35f90a4ad49f655f4ec384f955f2037f2911819032ff8f45ec14e"),
+        ("yield_samples = 16385\n",
+         "758b6d947333afbd756c73163b1431acb787b6279b8ed51cd01ce394c49b644f"),
     ])
     def test_trace_bytes_pinned(self, tmp_path, extra, digest):
         # the bundled example, one batch or fixed-size batches; each line of

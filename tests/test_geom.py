@@ -104,6 +104,17 @@ class TestLinkGeometry:
                 continue
             assert link_geometry(a, b).distance == link_geometry(b, a).distance
 
+    def test_line_of_sight_is_link_distance_and_elevation(self):
+        # elevation by the law of cosines over the three ranges
+        ground = ground_position(station(1, 10.0, 20.0))
+        for t in (0.0, 100.0, 900.0):
+            sat = satellite_position(leo(2, incl=0.5, phase=0.3), t)
+            distance, el = geom.line_of_sight(ground, sat)
+            assert distance == link_geometry(ground, sat).distance
+            r_g, r_s = np.linalg.norm(ground), np.linalg.norm(sat)
+            sin_el = (r_s**2 - r_g**2 - distance**2) / (2 * r_g * distance)
+            assert el == pytest.approx(math.asin(sin_el), abs=1e-9)
+
     def test_coincident_points_rejected(self):
         p = np.array([7e6, 0.0, 0.0])
         with pytest.raises(ValueError):
@@ -129,6 +140,22 @@ class TestValidation:
     def test_aperture_positive(self):
         with pytest.raises(ValueError):
             GroundStation(1, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("aperture_radius", math.nan),
+        ("aperture_radius", math.inf),
+        ("memory_coherence_time", math.nan),
+        ("memory_coherence_time", 0.0),
+    ])
+    def test_station_field_rejected(self, field, value):
+        fields = {"aperture_radius": 1.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            GroundStation(1, 0.0, 0.0, **fields)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_satellite_aperture_rejected(self, value):
+        with pytest.raises(ValueError, match="aperture_radius"):
+            Satellite(1, Tier.LEO, 1200e3, value)
 
     def test_geo_altitude_fixed(self):
         with pytest.raises(ValueError):

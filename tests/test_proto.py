@@ -44,6 +44,12 @@ class TestEbitPool:
         assert kept == [10, 11, 12]
         assert len(pool) == 3
 
+    @pytest.mark.parametrize("coherence", [math.nan, 0.0, -1.0])
+    def test_coherence_time_rejected(self, coherence):
+        # a NaN coherence would make no pair ever fresh
+        with pytest.raises(ValueError, match="coherence_time"):
+            EbitPool(coherence, 10)
+
     def test_duplicate_ids_rejected(self):
         pool = EbitPool(1.0, 10)
         pool.deposit_raw([1], 0.0)
@@ -271,14 +277,15 @@ class TestDistribution:
 class TestLinkLoss:
     """Relay starts barely above the horizon mask and sets between batches."""
 
-    def setting_relay_network(self, min_raw_pairs, coherence=30.0):
+    def setting_relay_network(self, min_raw_pairs, coherence=30.0,
+                              batch_size=500, source_rate_hz=100.0):
         stations = [station(1, 0.0, coherence=coherence),
                     station(2, 1.0, coherence=coherence)]
         sats = [geo(100, 0.5),
                 leo(201, 13.9, altitude=500e3)]   # el ~10.2 deg and falling
         eng = Engine(seed=7)
-        net = Network(eng, stations, sats, batch_size=500, source_rate_hz=100.0,
-                      min_raw_pairs=min_raw_pairs)
+        net = Network(eng, stations, sats, batch_size=batch_size,
+                      source_rate_hz=source_rate_hz, min_raw_pairs=min_raw_pairs)
         return eng, net
 
     def test_partial_deposit_then_continue(self):
@@ -300,6 +307,19 @@ class TestLinkLoss:
         eng.run_until(30.0)
         assert sess.phase is Phase.FAILED
         assert sess.failure_reason == Failure.LINK_LOST
+
+    def test_arrivals_after_failure_are_skipped(self):
+        # one-pair batches 1 ms apart: the relay sets with the pairs of the
+        # last few batches still in flight, and their arrivals do nothing
+        eng, net = self.setting_relay_network(min_raw_pairs=10**9, batch_size=1,
+                                              source_rate_hz=1000.0)
+        sess = net.request(1, 2, qubits=1, pairs_target=10**6,
+                           policy=DistillationPolicy(yield_rate=1.0))
+        eng.run_until(30.0)
+        assert sess.failure_reason == Failure.LINK_LOST
+        assert net.trace[-1]["event"] == "session_failed"
+        assert eng.processed_count == eng.scheduled_count
+        assert len(events(net, "batch_emitted")) > len(events(net, "pairs_deposited"))
 
 
 class TestDistillation:

@@ -121,6 +121,10 @@ class TestMeanRate:
         assert rates.mean_rate(model, n, make_stream(3, "pin", "down")) == value
 
     @pytest.mark.parametrize("n,value", [
+        (1, 0.5179339084034471),
+        (16_383, 0.5088006625958745),
+        (16_384, 0.508812560111014),
+        (16_385, 0.5088166620331577),
         (40_000, 0.5113137046731125),
         (100_000, 0.5114713204614251),
     ])
@@ -128,11 +132,15 @@ class TestMeanRate:
         model = ch.UplinkPointingFade(0.4, 1.0, 0.3)
         assert rates.mean_rate(model, n, make_stream(3, "pin", "up")) == value
 
-    def test_downlink_peak_memory_is_the_rate_buffer(self):
+    @pytest.mark.parametrize("model", [
+        ch.DownlinkGaussianTail(0.3, 0.1),
+        ch.UplinkPointingFade(0.4, 1.0, 0.3),
+    ], ids=["downlink", "uplink"])
+    def test_peak_memory_is_the_rate_buffer(self, model):
         # the draws are made and mapped to rates chunk by chunk, so the
         # traced peak stays under twice the 8 MB buffer of 10**6 rates
         n = 10**6
-        model, rng = ch.DownlinkGaussianTail(0.3, 0.1), make_stream(6, "mem")
+        rng = make_stream(6, "mem")
         tracemalloc.start()
         try:
             rates.mean_rate(model, n, rng)
