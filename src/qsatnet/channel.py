@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .engine import RngStream
+from .engine import RngStream, check_real
 
 DEFAULT_WAVELENGTH = 1.55e-6      # telecom band [m]
 DEFAULT_FADE_COHERENCE = 1e-3     # uplink beam-wander coherence time [s]
@@ -37,19 +37,6 @@ class InfeasibleTargetError(ValueError):
     """Requested mean loss is below what pure diffraction already costs."""
 
 
-def _check_eta(eta: float, name: str = "eta") -> float:
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {eta}")
-    return float(eta)
-
-
-def _check_real(value: float, name: str, strict: bool = True) -> None:
-    """value must be finite and > 0, or finite and >= 0 when not strict."""
-    if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
-        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} "
-                         f"0, got {value}")
-
-
 @dataclass(frozen=True)
 class BeamParams:
     """Gaussian beam launched with waist w0 (= transmit aperture radius)."""
@@ -57,8 +44,8 @@ class BeamParams:
     wavelength: float = DEFAULT_WAVELENGTH
 
     def __post_init__(self):
-        _check_real(self.w0, "w0")
-        _check_real(self.wavelength, "wavelength")
+        check_real(self.w0, "w0", 0, strict=True)
+        check_real(self.wavelength, "wavelength", 0, strict=True)
 
     @property
     def rayleigh_range(self) -> float:
@@ -67,7 +54,7 @@ class BeamParams:
 
 def beam_radius(beam: BeamParams, z: float) -> float:
     """Beam radius w(z) = w0 * sqrt(1 + (z*lambda/(pi*w0^2))^2), z >= 0."""
-    _check_real(z, "z", strict=False)
+    check_real(z, "z", 0)
     return beam.w0 * math.sqrt(1.0 + (z / beam.rayleigh_range) ** 2)
 
 
@@ -78,8 +65,8 @@ def diffraction_transmittance(beam: BeamParams, rx_radius: float, z: float) -> f
     strictly increasing in rx_radius.  rx_radius and the distance z must be
     finite and > 0: at infinity the formula gives 0 or 1 with no error.
     """
-    _check_real(rx_radius, "rx_radius")
-    _check_real(z, "distance")
+    check_real(rx_radius, "rx_radius", 0, strict=True)
+    check_real(z, "distance", 0, strict=True)
     try:
         w = beam_radius(beam, z)
         return 1.0 - math.exp(-2.0 * rx_radius**2 / w**2)
@@ -113,7 +100,7 @@ def _check_budget(beam: BeamParams, rx_radius: float, distance: float) -> None:
 
 def db_from_eta(eta: float) -> float:
     """Loss in dB; eta = 0 maps to +inf (infinite loss, not an error)."""
-    _check_eta(eta)
+    check_real(eta, "eta", 0.0, 1.0)
     if eta == 0.0:
         return math.inf
     return -10.0 * math.log10(eta)
@@ -127,8 +114,8 @@ class FixedDiffraction:
     distance: float
 
     def __post_init__(self):
-        _check_real(self.rx_radius, "rx_radius")
-        _check_real(self.distance, "distance")
+        check_real(self.rx_radius, "rx_radius", 0, strict=True)
+        check_real(self.distance, "distance", 0, strict=True)
 
     @property
     def eta(self) -> float:
@@ -142,8 +129,8 @@ class DownlinkGaussianTail:
     b: float
 
     def __post_init__(self):
-        _check_eta(self.eta0, "eta0")
-        _check_real(self.b, "b", strict=False)
+        check_real(self.eta0, "eta0", 0.0, 1.0)
+        check_real(self.b, "b", 0)
 
 
 @dataclass(frozen=True)
@@ -155,10 +142,11 @@ class UplinkPointingFade:
     fade_coherence_time: float = DEFAULT_FADE_COHERENCE
 
     def __post_init__(self):
-        _check_eta(self.eta_diffraction, "eta_diffraction")
-        _check_real(self.beam_radius_at_rx, "beam_radius_at_rx")
-        _check_real(self.sigma_wander, "sigma_wander", strict=False)
-        _check_real(self.fade_coherence_time, "fade_coherence_time")
+        check_real(self.eta_diffraction, "eta_diffraction", 0.0, 1.0)
+        check_real(self.beam_radius_at_rx, "beam_radius_at_rx", 0, strict=True)
+        check_real(self.sigma_wander, "sigma_wander", 0)
+        check_real(self.fade_coherence_time, "fade_coherence_time", 0,
+                   strict=True)
 
 
 OpticalChannelModel = Union[FixedDiffraction, DownlinkGaussianTail, UplinkPointingFade]
@@ -235,11 +223,9 @@ def calibrate_uplink_sigma(eta_diffraction: float, beam_radius_at_rx: float,
     target well inside 0.01 dB.  Raises InfeasibleTargetError when the
     target is below the pure-diffraction loss.
     """
-    _check_eta(eta_diffraction, "eta_diffraction")
-    _check_real(beam_radius_at_rx, "beam_radius_at_rx")
-    if not math.isfinite(target_mean_loss_db):
-        raise ValueError(f"target_mean_loss_db must be finite, "
-                         f"got {target_mean_loss_db}")
+    check_real(eta_diffraction, "eta_diffraction", 0.0, 1.0)
+    check_real(beam_radius_at_rx, "beam_radius_at_rx", 0, strict=True)
+    check_real(target_mean_loss_db, "target_mean_loss_db")
     floor_db = db_from_eta(eta_diffraction)
     if target_mean_loss_db < floor_db:
         raise InfeasibleTargetError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -27,7 +27,7 @@ import numpy as np
 from . import channel as ch
 from . import packet as pk
 from . import rates
-from .engine import make_stream
+from .engine import check_count, check_real, make_stream
 from .scenario import ConfigError, load_scenario, run_scenario
 
 EXIT_OK = 0
@@ -38,35 +38,32 @@ DEFAULT_WAIST_GRID = "0.1:1.0:10"
 DEFAULT_RX_GRID = "0.125:1.25:10"
 
 
-def _parse_grid(spec: str) -> list:
+def _parse_grid(spec: str, flag: str) -> list:
     """Grid syntax: comma-separated values or lo:hi:count (inclusive).
     Every value is a radius, so it must be finite and > 0."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
-            raise ValueError(f"grid must be lo:hi:count, got {spec!r}")
+            raise ValueError(f"{flag} must be lo:hi:count, got {spec!r}")
         lo, hi = float(parts[0]), float(parts[1])
-        count = int(parts[2])
-        if count < 1:
-            raise ValueError(f"grid count must be >= 1, got {count}")
+        count = check_count(int(parts[2]), f"{flag} count", 1)
         values = [lo] if count == 1 else list(np.linspace(lo, hi, count))
     else:
         values = [float(v) for v in spec.split(",") if v.strip()]
     if not values:
-        raise ValueError(f"empty grid {spec!r}")
-    if not all(math.isfinite(v) and v > 0 for v in values):
-        raise ValueError(f"grid values must be finite and > 0, got {spec!r}")
+        raise ValueError(f"{flag} is empty")
+    for v in values:
+        check_real(v, f"{flag} value", 0, strict=True)
     return values
 
 
 def _check_flags(args, positive=(), nonnegative=()) -> None:
     """Named numeric flags must be finite and > 0, or >= 0; None is unset."""
     for name in positive + nonnegative:
-        v, strict = getattr(args, name), name in positive
-        if v is not None and not (math.isfinite(v) and (v > 0 if strict else v >= 0)):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite and "
-                             f"{'>' if strict else '>='} 0, got {v}")
+        if getattr(args, name) is not None:
+            check_real(getattr(args, name), f"--{name.replace('_', '-')}", 0,
+                       strict=name in positive)
 
 
 def _read_input(path: Optional[str]) -> bytes:
@@ -110,7 +107,11 @@ def _cmd_run(args) -> int:
             network, summary = run_scenario(
                 scenario, trace_sink=lambda r: out.write(_jsonl(r)))
             out.write(_jsonl({"summary": summary}))
+        except BrokenPipeError:
+            raise                       # main reports a closed stdout
         except Exception as exc:
+            if isinstance(exc.__cause__, BrokenPipeError):
+                raise exc.__cause__     # a trace write the engine wrapped
             print(f"runtime failure: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
     return EXIT_OK
@@ -118,8 +119,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_rates_sweep(args) -> int:
     try:
-        waists = _parse_grid(args.waist_grid)
-        rx_radii = _parse_grid(args.rx_grid)
+        waists = _parse_grid(args.waist_grid, "--waist-grid")
+        rx_radii = _parse_grid(args.rx_grid, "--rx-grid")
         _check_flags(args, ("distance", "wavelength", "samples"), ("b",))
         surface = rates.sweep(waists, rx_radii, args.distance, args.b,
                               wavelength=args.wavelength, n_samples=args.samples,
@@ -335,7 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the reader closed stdout: point it at devnull, as the Python signal
+        # docs advise, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"runtime failure: output closed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except OutputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

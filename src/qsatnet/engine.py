@@ -1,5 +1,5 @@
 """Deterministic discrete-event core: simulated clock, ordered event queue,
-and seeded random streams.
+seeded random streams, and the numeric-field checks every module calls.
 
 Random streams are counter-based so that every draw is a pure function of
 (root seed, stream key, counter index).  The pinned algorithm (do not change
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -37,6 +38,29 @@ DRAW_CHUNK = 16384
 
 class EngineError(RuntimeError):
     """Scheduling violations and handler failures inside the event loop."""
+
+
+def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf,
+               strict: bool = False):
+    """value if it is finite and in [lo, hi], or in (lo, hi] when strict;
+    else a ValueError naming the field.  Every real field, argument, flag
+    and scenario value of the package is checked here."""
+    if (math.isfinite(value) and (value > lo if strict else value >= lo)
+            and value <= hi):
+        return value
+    if hi < math.inf:
+        bound = f" and in {'(' if strict else '['}{lo:g}, {hi:g}]"
+    else:
+        bound = f" and {'>' if strict else '>='} {lo:g}" if lo > -math.inf else ""
+    raise ValueError(f"{name} must be finite{bound}, got {value}")
+
+
+def check_count(value, name: str, lo: int = 0) -> int:
+    """value if it is an int, not a bool, and at least lo; else a ValueError
+    naming the field.  Every whole-number field is checked here."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= lo:
+        return value
+    raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
 def _mix64(x: int) -> int:
@@ -77,10 +101,7 @@ def derive_key(root_seed: int, parts: tuple) -> int:
 
 def _count(n: Optional[int]) -> int:
     """Number of values a sequential draw returns (1 for a scalar draw)."""
-    m = 1 if n is None else int(n)
-    if m < 0:
-        raise ValueError(f"draw count must be >= 0, got {n}")
-    return m
+    return 1 if n is None else check_count(int(n), "draw count")
 
 
 class RngStream:

@@ -15,6 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .engine import check_count, check_real
+
 R_EARTH = 6_371_000.0          # mean Earth radius [m]
 MU_EARTH = 3.986004418e14      # Earth gravitational parameter [m^3/s^2]
 C_LIGHT = 299_792_458.0        # [m/s]
@@ -28,11 +30,6 @@ DEFAULT_MIN_ELEVATION = math.radians(10.0)  # optical ground-station horizon mas
 class Tier(Enum):
     LEO = "LEO"
     GEO = "GEO"
-
-
-def _check_aperture(radius: float) -> None:
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"aperture_radius must be finite and > 0, got {radius}")
 
 
 @dataclass(frozen=True)
@@ -50,16 +47,13 @@ class GroundStation:
     memory_capacity: int = 100_000
 
     def __post_init__(self):
-        if self.id < 0:
-            raise ValueError(f"station id must be non-negative, got {self.id}")
-        if not -math.pi / 2 <= self.latitude <= math.pi / 2:
-            raise ValueError(f"latitude {self.latitude} outside [-pi/2, pi/2]")
-        _check_aperture(self.aperture_radius)
-        if not self.memory_coherence_time > 0:     # also rejects NaN
-            raise ValueError(f"memory_coherence_time must be > 0, "
-                             f"got {self.memory_coherence_time}")
-        if self.memory_capacity < 0:
-            raise ValueError("memory_capacity must be >= 0")
+        check_count(self.id, "id")
+        check_real(self.latitude, "latitude", -math.pi / 2, math.pi / 2)
+        check_real(self.longitude, "longitude")
+        check_real(self.aperture_radius, "aperture_radius", 0, strict=True)
+        check_real(self.memory_coherence_time, "memory_coherence_time", 0,
+                   strict=True)
+        check_count(self.memory_capacity, "memory_capacity")
 
 
 @dataclass(frozen=True)
@@ -74,17 +68,13 @@ class Satellite:
     phase_at_epoch: float = 0.0
 
     def __post_init__(self):
-        if self.id < 0:
-            raise ValueError(f"satellite id must be non-negative, got {self.id}")
-        _check_aperture(self.aperture_radius)
-        if self.tier is Tier.GEO:
-            if not math.isclose(self.altitude, GEO_ALTITUDE, rel_tol=1e-9):
-                raise ValueError(
-                    f"GEO altitude is fixed at {GEO_ALTITUDE} m, got {self.altitude}")
-        elif not LEO_ALTITUDE_MIN <= self.altitude <= LEO_ALTITUDE_MAX:
-            raise ValueError(
-                f"LEO altitude {self.altitude} outside "
-                f"[{LEO_ALTITUDE_MIN}, {LEO_ALTITUDE_MAX}] m")
+        check_count(self.id, "id")
+        check_real(self.aperture_radius, "aperture_radius", 0, strict=True)
+        band = ((LEO_ALTITUDE_MIN, LEO_ALTITUDE_MAX) if self.tier is Tier.LEO
+                else (GEO_ALTITUDE * (1 - 1e-9), GEO_ALTITUDE * (1 + 1e-9)))
+        check_real(self.altitude, "altitude", *band)
+        for name in ("inclination", "raan", "phase_at_epoch"):
+            check_real(getattr(self, name), name)
 
     @property
     def orbital_radius(self) -> float:
@@ -108,8 +98,7 @@ def satellite_position(sat: Satellite, t: float) -> np.ndarray:
     Uniform circular motion: in-plane angle from the ascending node is
     phase_at_epoch + sqrt(mu/r^3) * t, rotated by inclination then RAAN.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_real(t, "t", 0)
     r = sat.orbital_radius
     theta = sat.phase_at_epoch + math.sqrt(MU_EARTH / r**3) * t
     cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -124,11 +113,12 @@ def satellite_position(sat: Satellite, t: float) -> np.ndarray:
 
 def ground_position(gs: GroundStation, t: float = 0.0,
                     earth_rotation: bool = False) -> np.ndarray:
-    """Station position [m] on the spherical Earth surface.
+    """Station position [m] on the spherical Earth surface at time t >= 0.
 
     With earth_rotation the longitude advances at the sidereal rate;
     otherwise the position is time-independent.
     """
+    check_real(t, "t", 0)
     lon = gs.longitude + (SIDEREAL_RATE * t if earth_rotation else 0.0)
     cos_lat = math.cos(gs.latitude)
     return R_EARTH * np.array([

@@ -39,7 +39,8 @@ import numpy as np
 
 from . import channel as ch
 from . import geom
-from .engine import DRAW_CHUNK, Engine, Event, RngStream
+from .engine import (DRAW_CHUNK, Engine, Event, RngStream, check_count,
+                     check_real)
 from .rates import chunked_mean, rci_array
 
 
@@ -86,10 +87,9 @@ class EbitPool:
     """
 
     def __init__(self, coherence_time: float, capacity: int):
-        if not coherence_time > 0:     # also rejects NaN
-            raise ValueError(f"coherence_time must be > 0, got {coherence_time}")
-        self.coherence_time = coherence_time
-        self.capacity = capacity
+        self.coherence_time = check_real(coherence_time, "coherence_time", 0,
+                                         strict=True)
+        self.capacity = check_count(capacity, "capacity")
         self.raw: list[tuple[Sequence[int], float]] = []
         self.distilled: list[tuple[Sequence[int], float]] = []
         self._size = 0
@@ -152,12 +152,10 @@ class DistillationPolicy:
     yield_samples: int = 100_000
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.yield_rate is not None and not 0.0 <= self.yield_rate <= 1.0:
-            raise ValueError("yield_rate must be in [0, 1]")
-        if self.yield_samples < 1:
-            raise ValueError("yield_samples must be >= 1")
+        check_count(self.rounds, "rounds", 1)
+        if self.yield_rate is not None:
+            check_real(self.yield_rate, "yield_rate", 0.0, 1.0)
+        check_count(self.yield_samples, "yield_samples", 1)
 
 
 def distilled_count(n_valid: int, yield_rate: float) -> int:
@@ -259,13 +257,16 @@ class Network:
         self.satellites = {s.id: s for s in satellites}
         if len(self.stations) != len(stations) or len(self.satellites) != len(satellites):
             raise ValueError("duplicate node ids")
-        self.wavelength = wavelength
-        self.downlink_b = downlink_b
-        self.min_elevation = min_elevation
+        self.wavelength = check_real(wavelength, "wavelength", 0, strict=True)
+        self.downlink_b = check_real(downlink_b, "downlink_b", 0)
+        self.min_elevation = check_real(min_elevation, "min_elevation",
+                                        -math.pi / 2, math.pi / 2)
         self.earth_rotation = earth_rotation
-        self.batch_size = batch_size
-        self.source_rate_hz = source_rate_hz
-        self.min_raw_pairs = min_raw_pairs
+        self.batch_size = (batch_size if batch_size is None
+                           else check_count(batch_size, "batch_size", 1))
+        self.source_rate_hz = check_real(source_rate_hz, "source_rate_hz", 0,
+                                         strict=True)
+        self.min_raw_pairs = check_count(min_raw_pairs, "min_raw_pairs")
         # records go to trace_sink when one is given, else into self.trace
         self.trace: list[dict] = []
         self._record = trace_sink if trace_sink is not None else self.trace.append
@@ -326,10 +327,8 @@ class Network:
             raise ValueError("a session needs two distinct stations")
         if a_id not in self.stations or b_id not in self.stations:
             raise ValueError("unknown station id")
-        if qubits < 1:
-            raise ValueError(f"qubits must be >= 1, got {qubits}")
-        if pairs_target < 1:
-            raise ValueError(f"pairs_target must be >= 1, got {pairs_target}")
+        check_count(qubits, "qubits", 1)
+        check_count(pairs_target, "pairs_target", 1)
         t0 = self.engine.now if t is None else float(t)
         sess = Session(self._next_session_id, a_id, b_id, qubits, pairs_target,
                        policy or DistillationPolicy(), t0)

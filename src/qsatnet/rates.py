@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import channel as ch
-from .engine import DRAW_CHUNK, RngStream, make_stream
+from .engine import DRAW_CHUNK, RngStream, check_count, make_stream
 
 LN2 = math.log(2.0)
 RATE_SATURATION = 60.0   # cap as eta -> 1, i.e. for eta above 1 - 2**-60
@@ -71,8 +71,7 @@ def mean_rate(model: ch.OpticalChannelModel, n_samples: int,
     """
     if isinstance(model, ch.FixedDiffraction):
         return float(rci_array(model.eta))
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    check_count(n_samples, "n_samples", 1)
     if isinstance(model, ch.DownlinkGaussianTail):
         if model.b == 0.0:
             return float(rci_array(model.eta0))
@@ -89,7 +88,7 @@ def mean_rate(model: ch.OpticalChannelModel, n_samples: int,
         raise TypeError(f"unsupported channel model {model!r}")
     if rng is None:
         raise ValueError("a random stream is required for a fading model")
-    return chunked_mean(rates_of, int(n_samples))
+    return chunked_mean(rates_of, n_samples)
 
 
 @dataclass(frozen=True)

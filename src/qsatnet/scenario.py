@@ -57,7 +57,7 @@ from typing import Optional
 from . import channel as ch
 from . import geom
 from .proto import DistillationPolicy, Network
-from .engine import Engine
+from .engine import Engine, check_count, check_real
 
 
 class ConfigError(ValueError):
@@ -133,22 +133,13 @@ def _int(lo: Optional[int] = None):
                 raise ValueError("not exact as a float; write the integer's "
                                  "digits") from None
             value = int(real)
-        if lo is not None and value < lo:
-            raise ValueError(f"must be >= {lo}")
-        return value
+        return value if lo is None else check_count(value, "value", lo)
     return conv
 
 
 def _real(lo: float = -math.inf, hi: float = math.inf, strict: bool = False):
     """Converter for a finite float in [lo, hi], or in (lo, hi] when strict."""
-    def conv(raw: str) -> float:
-        value = float(raw)
-        if not (math.isfinite(value) and (value > lo if strict else value >= lo)
-                and value <= hi):
-            raise ValueError(f"must be finite and in "
-                             f"{'(' if strict else '['}{lo:g}, {hi:g}]")
-        return value
-    return conv
+    return lambda raw: check_real(float(raw), "value", lo, hi, strict)
 
 
 def load_scenario(path: str) -> Scenario:

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -512,6 +515,21 @@ class TestOutput:
         assert raw.read_bytes() == bytes.fromhex(frame.read_text())
         assert run_cli(["packet", "decode", "--raw", "--input", str(raw)]) == 0
         assert json.loads(capsys.readouterr().out)["transmit_time_ns"] == 5
+
+    def test_closed_stdout_exits_3(self):
+        # 200000 rows are far more than a pipe buffer holds, so the writer
+        # is still writing when the reader closes the pipe
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qsatnet.cli", "channel-sample", "--model",
+             "downlink", "--n", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"t,eta,loss_db\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 3
+        assert proc.stderr.read() == (b"runtime failure: output closed: "
+                                      b"[Errno 32] Broken pipe\n")
 
     @pytest.mark.parametrize("argv", [
         ["run", EXAMPLE, "--format", "jsonl"],

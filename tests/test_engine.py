@@ -157,7 +157,7 @@ def test_normal_small_counts_pinned():
     assert type(scalar) is float and scalar == -0.43303990890658556
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(skip=st.integers(0, 3), a=st.integers(0, 2 * DRAW_CHUNK + 2),
        b=st.integers(0, 2 * DRAW_CHUNK + 2))
 @example(skip=1, a=DRAW_CHUNK - 1, b=2)

@@ -46,6 +46,11 @@ class TestSatellitePosition:
         with pytest.raises(ValueError):
             satellite_position(leo(1), -1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            satellite_position(leo(1), t)
+
     def test_inclined_orbit_leaves_plane(self):
         sat = leo(1, incl=math.radians(30), phase=math.radians(90))
         pos = satellite_position(sat, 0.0)
@@ -56,6 +61,13 @@ class TestGroundPosition:
     def test_equator_prime_meridian(self):
         pos = ground_position(station(1, 0, 0))
         assert pos == pytest.approx([6_371_000.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_bad_time_rejected(self, t):
+        # an infinite t under earth rotation used to end in a bare math
+        # domain error, and a NaN t in a NaN position
+        with pytest.raises(ValueError, match="^t must be finite and >= 0"):
+            ground_position(station(1, 0, 0), t, earth_rotation=True)
 
     def test_pole_invariant_under_rotation(self):
         gs = station(1, 90, 0)
@@ -146,16 +158,29 @@ class TestValidation:
         ("aperture_radius", math.inf),
         ("memory_coherence_time", math.nan),
         ("memory_coherence_time", 0.0),
+        # an infinite longitude used to end in a bare math domain error
+        ("longitude", math.inf),
+        ("longitude", math.nan),
     ])
     def test_station_field_rejected(self, field, value):
-        fields = {"aperture_radius": 1.0, field: value}
-        with pytest.raises(ValueError, match=field):
-            GroundStation(1, 0.0, 0.0, **fields)
+        fields = {"aperture_radius": 1.0, "longitude": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            GroundStation(1, 0.0, **fields)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
     def test_satellite_aperture_rejected(self, value):
         with pytest.raises(ValueError, match="aperture_radius"):
             Satellite(1, Tier.LEO, 1200e3, value)
+
+    @pytest.mark.parametrize("field, value", [
+        # a NaN inclination used to give NaN positions and a silent
+        # NoSatellite failure; an infinite raan a math domain error
+        ("inclination", math.nan), ("raan", math.inf),
+        ("phase_at_epoch", -math.inf),
+    ])
+    def test_satellite_angle_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            Satellite(1, Tier.LEO, 1200e3, 0.2, **{field: value})
 
     def test_geo_altitude_fixed(self):
         with pytest.raises(ValueError):

@@ -239,7 +239,7 @@ class TestDecode:
             except pk.PacketError:
                 pass
 
-    @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=1000)
     @given(DECODE_INPUTS)
     def test_decode_is_total(self, data):
         try:

@@ -136,6 +136,27 @@ class TestBuildingBlocks:
                 sample_pair_survival(draws, eta0_a, eta0_b, 1)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("build, field, value", [
+        # batch_size 0 used to hang run_until, source_rate_hz 0 failed at the
+        # second event, wavelength -1 inside the first batch, and rounds inf
+        # left the session in DISTILLING
+        (small_network, "batch_size", 0),
+        (small_network, "batch_size", 2.5),
+        (small_network, "source_rate_hz", 0.0),
+        (small_network, "source_rate_hz", math.nan),
+        (small_network, "wavelength", -1.0),
+        (small_network, "downlink_b", math.inf),
+        (small_network, "min_elevation", math.nan),
+        (small_network, "min_raw_pairs", -1),
+        (DistillationPolicy, "rounds", math.inf),
+        (DistillationPolicy, "yield_samples", True),
+    ])
+    def test_bad_field_rejected_when_built(self, build, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            build(**{field: value})
+
+
 class TestRequest:
     def test_request_delay_to_coordinator(self):
         # coordinator straight overhead: slant is exactly 3.6e7 m
