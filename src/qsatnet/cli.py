@@ -208,8 +208,9 @@ def _cmd_packet_encode(args) -> int:
     except pk.EncodeValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        # unreadable input, malformed JSON or hex, missing or mistyped fields
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        # unreadable input, malformed or too deeply nested JSON, bad hex,
+        # missing or mistyped fields
         print(f"config error: bad packet description: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     with _output(args.output, binary=args.raw) as out:

@@ -26,15 +26,29 @@ Total length = 42 + 9*qubit_count + error_corr_len bytes.  Qubit payloads
 are carried as descriptors (ids plus entanglement-group tags), never as
 amplitudes; group ids are preserved verbatim and checked at the protocol
 layer, not here.
+
+In memory a packet's descriptors are one immutable ``bytes`` block of their
+9-byte wire records, which ``Packet.qubits`` exposes through ``Descriptors``,
+a read-only sequence of ``QubitDescriptor``: ``decode`` slices the block out
+of the frame, ``packet_from_dict`` packs it, ``encode`` joins it and
+``packet_to_dict`` unpacks it.  A packet built by hand keeps its tuple of
+``QubitDescriptor``, which ``encode`` packs the same way.  Descriptor values
+are checked when they are packed, column by column in C; only a failed check
+runs the ordered per-descriptor loop that names the first bad descriptor.
+``packet_from_dict`` keeps a tuple when a check fails, so ``encode`` reports
+the bad value after the header fields, as it does for a hand-built packet.
+``decode`` checks every encoding byte with one byte slice.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import starmap
+from itertools import repeat
+from operator import index, itemgetter
 from typing import NamedTuple
 
 MAGIC = b"\x51\x50"
@@ -118,13 +132,56 @@ class QubitDescriptor(NamedTuple):
 _descriptor = partial(tuple.__new__, QubitDescriptor)
 
 
+class Descriptors(Sequence):
+    """Read-only view of a packed descriptor block as ``QubitDescriptor``s.
+
+    The block holds the 9-byte wire records of the frame.  A view equals,
+    and hashes like, the tuple of the same descriptors; slicing returns a
+    tuple.
+    """
+
+    __slots__ = ("_block",)
+
+    def __init__(self, block: bytes):
+        self._block = block
+
+    def __len__(self) -> int:
+        return len(self._block) // DESCRIPTOR_LEN
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        k, n = index(k), len(self)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError("descriptor index out of range")
+        return _descriptor(_DESC.unpack_from(self._block, DESCRIPTOR_LEN * k))
+
+    def __iter__(self):
+        return map(_descriptor, _DESC.iter_unpack(self._block))
+
+    def __eq__(self, other):
+        if type(other) is Descriptors:
+            return self._block == other._block
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class Packet:
     requesting_station_id: int
     receiving_station_id: int
     transmit_time_ns: int
     op_commence_time_ns: int = 0
-    qubits: tuple = ()
+    qubits: Sequence = ()     # a tuple of QubitDescriptor, or a Descriptors view
     ack_session_id: int = 0
     ack_present: bool = False
     error_corr: bytes = b""
@@ -140,7 +197,65 @@ class Packet:
             + TRAILER_FIXED_LEN + len(self.error_corr)
 
 
-def _validate(p: Packet) -> None:
+def _check_each(rows) -> None:
+    """Raise for the first bad descriptor, its fields checked in order."""
+    for qid, group, enc in rows:
+        if type(qid) is not int or not 0 <= qid <= _U32:
+            raise EncodeValidationError(
+                f"qubit_id={qid!r} is not an integer in [0, {_U32}]")
+        if type(group) is not int or not 0 <= group <= _U32:
+            raise EncodeValidationError(
+                f"entanglement_group={group!r} is not an integer in "
+                f"[0, {_U32}]")
+        if type(enc) is not int or enc not in (
+                ENCODING_DV, ENCODING_CV_REFERENCE):
+            raise EncodeValidationError(f"encoding={enc!r} not in {{0, 1}}")
+
+
+def _pack(ids, groups, encs) -> bytes:
+    """The descriptor block of three equal-length columns.
+
+    The columns are checked in C: every value an ``int`` (not a ``bool``),
+    ids and groups in range (``struct.pack`` raises otherwise) and every
+    encoding in {0, 1}.  Only when a check fails does the ordered loop run,
+    to raise an EncodeValidationError naming the first bad descriptor.
+    """
+    if not ids:
+        return b""
+    if set(map(type, ids)) | set(map(type, groups)) | set(map(type, encs)) \
+            <= {int} and set(encs) <= {ENCODING_DV, ENCODING_CV_REFERENCE}:
+        u32s = f">{len(ids)}I"
+        try:
+            id_bytes, group_bytes = (struct.pack(u32s, *ids),
+                                     struct.pack(u32s, *groups))
+        except struct.error:
+            pass
+        else:
+            block = bytearray(DESCRIPTOR_LEN * len(ids))
+            for j in range(4):
+                block[j::DESCRIPTOR_LEN] = id_bytes[j::4]
+                block[4 + j::DESCRIPTOR_LEN] = group_bytes[j::4]
+            block[8::DESCRIPTOR_LEN] = bytes(encs)
+            return bytes(block)
+    _check_each(zip(ids, groups, encs))
+
+
+def _block(qubits) -> bytes:
+    """The checked descriptor block of a view or a descriptor tuple."""
+    if type(qubits) is Descriptors:
+        return qubits._block
+    try:
+        ids, groups, encs = zip(*qubits, strict=True) if qubits else ((),) * 3
+    except (TypeError, ValueError):
+        # some descriptor is not a triple: the ordered loop raises for the
+        # first bad one
+        _check_each(qubits)
+        raise
+    return _pack(ids, groups, encs)
+
+
+def _validate(p: Packet) -> bytes:
+    """Check every field; returns the descriptor block."""
     if type(p.version) is not int or p.version != VERSION:
         raise EncodeValidationError(f"unsupported version {p.version!r}")
     if type(p.ack_present) is not bool:
@@ -162,31 +277,20 @@ def _validate(p: Packet) -> None:
             f"error_corr too long: {len(p.error_corr)} bytes")
     if not p.ack_present and p.ack_session_id != 0:
         raise EncodeValidationError("ack_session_id must be 0 without the ack flag")
-    for qid, group, enc in p.qubits:
-        if type(qid) is not int or not 0 <= qid <= _U32:
-            raise EncodeValidationError(
-                f"qubit_id={qid!r} is not an integer in [0, {_U32}]")
-        if type(group) is not int or not 0 <= group <= _U32:
-            raise EncodeValidationError(
-                f"entanglement_group={group!r} is not an integer in "
-                f"[0, {_U32}]")
-        if type(enc) is not int or enc not in (
-                ENCODING_DV, ENCODING_CV_REFERENCE):
-            raise EncodeValidationError(f"encoding={enc!r} not in {{0, 1}}")
+    return _block(p.qubits)
 
 
 def encode(p: Packet) -> bytes:
     """Serialize a packet; raises EncodeValidationError on invariant breaks."""
-    _validate(p)
-    parts = [MAGIC,
-             struct.pack(">BB", p.version, p.flags),
-             struct.pack(">IIQQH", p.requesting_station_id,
-                         p.receiving_station_id, p.transmit_time_ns,
-                         p.op_commence_time_ns, len(p.qubits)),
-             *starmap(_DESC.pack, p.qubits),
-             struct.pack(">IH", p.ack_session_id, len(p.error_corr)),
-             p.error_corr]
-    body = b"".join(parts)
+    block = _validate(p)
+    body = b"".join((MAGIC,
+                     struct.pack(">BB", p.version, p.flags),
+                     struct.pack(">IIQQH", p.requesting_station_id,
+                                 p.receiving_station_id, p.transmit_time_ns,
+                                 p.op_commence_time_ns, len(p.qubits)),
+                     block,
+                     struct.pack(">IH", p.ack_session_id, len(p.error_corr)),
+                     p.error_corr))
     return body + struct.pack(">I", crc32(body)) + END_MARKER
 
 
@@ -227,7 +331,7 @@ def decode(data: bytes) -> Packet:
     if k < qubit_count:
         raise FieldMismatch(f"qubit encoding {encodings[k]} not in {{0, 1}}",
                             HEADER_LEN + DESCRIPTOR_LEN * k + 8)
-    qubits = tuple(map(_descriptor, _DESC.iter_unpack(data[HEADER_LEN:desc_end])))
+    qubits = Descriptors(bytes(data[HEADER_LEN:desc_end]))
 
     ack_id, ec_len = struct.unpack(">IH", data[desc_end:desc_end + 6])
     if not (flags & FLAG_ACK) and ack_id != 0:
@@ -242,7 +346,7 @@ def decode(data: bytes) -> Packet:
     ec_end = desc_end + 6 + ec_len
     error_corr = data[desc_end + 6:ec_end]
     (crc_stored,) = struct.unpack(">I", data[ec_end:ec_end + 4])
-    crc_actual = crc32(data[:ec_end])
+    crc_actual = crc32(memoryview(data)[:ec_end])   # no copy of the frame
     if crc_stored != crc_actual:
         raise CrcMismatch(
             f"crc 0x{crc_stored:08x} != computed 0x{crc_actual:08x}", ec_end)
@@ -258,6 +362,8 @@ def decode(data: bytes) -> Packet:
 
 def packet_to_dict(p: Packet) -> dict:
     """JSON-friendly view used by the CLI."""
+    rows = (_DESC.iter_unpack(p.qubits._block)
+            if type(p.qubits) is Descriptors else p.qubits)
     return {
         "version": p.version,
         "requesting_station_id": p.requesting_station_id,
@@ -265,7 +371,7 @@ def packet_to_dict(p: Packet) -> dict:
         "transmit_time_ns": p.transmit_time_ns,
         "op_commence_time_ns": p.op_commence_time_ns,
         "qubits": [{"qubit_id": qid, "entanglement_group": group,
-                    "encoding": enc} for qid, group, enc in p.qubits],
+                    "encoding": enc} for qid, group, enc in rows],
         "ack_present": p.ack_present,
         "ack_session_id": p.ack_session_id,
         "error_corr_hex": p.error_corr.hex(),
@@ -279,16 +385,32 @@ def _not_an_object(k: int, q) -> None:
 def packet_from_dict(d: dict) -> Packet:
     """Inverse of packet_to_dict; a TypeError names a mistyped container.
 
-    Field values are checked by encode, not here.
+    A missing ``qubit_id`` or a non-object descriptor raises for the first
+    such descriptor.  Descriptors whose values pass ``encode``'s checks are
+    packed into one block here; otherwise the packet keeps a tuple of
+    ``QubitDescriptor`` and ``encode`` reports the first bad value, after the
+    header fields.
     """
     specs = d.get("qubits", [])
     if not isinstance(specs, (list, tuple)):
         raise TypeError(f"qubits must be a list of objects, "
                         f"got {type(specs).__name__}")
-    qubits = tuple([_descriptor((q["qubit_id"], q.get("entanglement_group", 0),
-                                 q.get("encoding", ENCODING_DV)))
-                    if isinstance(q, dict) else _not_an_object(k, q)
-                    for k, q in enumerate(specs)])
+    if set(map(type, specs)) <= {dict}:
+        columns = (list(map(itemgetter("qubit_id"), specs)),
+                   list(map(dict.get, specs, repeat("entanglement_group"),
+                            repeat(0))),
+                   list(map(dict.get, specs, repeat("encoding"),
+                            repeat(ENCODING_DV))))
+    else:
+        columns = tuple(zip(*[
+            (q["qubit_id"], q.get("entanglement_group", 0),
+             q.get("encoding", ENCODING_DV))
+            if isinstance(q, dict) else _not_an_object(k, q)
+            for k, q in enumerate(specs)]))
+    try:
+        qubits = Descriptors(_pack(*columns))
+    except EncodeValidationError:
+        qubits = tuple(map(_descriptor, zip(*columns)))
     error_corr_hex = d.get("error_corr_hex", "")
     if not isinstance(error_corr_hex, str):
         raise TypeError(f"error_corr_hex must be a hex string, "

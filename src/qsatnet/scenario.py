@@ -148,7 +148,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"parse error: {exc}")

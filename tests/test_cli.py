@@ -83,6 +83,13 @@ class TestRun:
     def test_missing_file_exits_2(self):
         assert run_cli(["run", "/does/not/exist.ini"]) == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(bytes(range(256)) * 4)
+        assert run_cli(["run", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: cannot read scenario file: 'utf-8' codec can't decode")
+
     def test_zero_batch_size_exits_2(self, tmp_path, capsys):
         # zero-pair batches would reschedule at the same t forever
         bad = tmp_path / "bad.ini"
@@ -468,6 +475,22 @@ class TestPacketCli:
         assert run_cli(["packet", "encode", "--input", str(src)]) == 2
         assert (f"config error: bad packet description: {named}"
                 in capsys.readouterr().err)
+
+    def test_encode_deeply_nested_json_exits_2(self, tmp_path):
+        # the JSON decoder gives up with a RecursionError; run in a fresh
+        # interpreter so the test's own stack depth does not matter
+        src = tmp_path / "nested.json"
+        src.write_text("[" * 200000)
+        env = {**os.environ, "PYTHONPATH": str(
+            Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsatnet.cli", "packet", "encode", "-i",
+             str(src)], capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(
+            b"config error: bad packet description: maximum recursion depth")
+        assert proc.stderr.count(b"\n") == 1
 
     def test_encode_deterministic(self, tmp_path):
         src = tmp_path / "packet.json"

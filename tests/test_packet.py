@@ -1,7 +1,9 @@
 import hashlib
 import random
 import struct
+import tracemalloc
 import zlib
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +80,70 @@ def large_packets():
     return [random_packet(rng, (0, 1, 2, 5, 40, 300, 4096)) for _ in range(200)]
 
 
+# values a descriptor field must reject; 2 is a valid id or group but not a
+# valid encoding
+BAD_VALUES = (True, False, 1.5, None, -1, 2**32, "7", 2)
+U32 = st.integers(0, 2**32 - 1)
+VALID_DESC = st.fixed_dictionaries(
+    {"qubit_id": U32},
+    optional={"entanglement_group": U32, "encoding": st.sampled_from((0, 1))})
+ANY_VALUE = st.one_of(U32, st.sampled_from(BAD_VALUES))
+ANY_DESC = st.fixed_dictionaries(
+    {"qubit_id": ANY_VALUE},
+    optional={"entanglement_group": ANY_VALUE,
+              "encoding": st.one_of(st.sampled_from((0, 1)),
+                                    st.sampled_from(BAD_VALUES))})
+
+
+def encode_outcome(make):
+    """The frame of ``encode(make())``, or its error's (class name, message)."""
+    try:
+        return pk.encode(make())
+    except pk.EncodeValidationError as err:
+        return (type(err).__name__, str(err))
+
+
+def dict_and_tuple_outcomes(header: dict, descs: list):
+    """encode outcomes of one packet built by ``packet_from_dict`` and built
+    by hand from a tuple of ``QubitDescriptor``; header keys are ``Packet``
+    field names."""
+    qubits = tuple(pk.QubitDescriptor(d["qubit_id"],
+                                      d.get("entanglement_group", 0),
+                                      d.get("encoding", pk.ENCODING_DV))
+                   for d in descs)
+    return (encode_outcome(lambda: pk.packet_from_dict({**header,
+                                                        "qubits": descs})),
+            encode_outcome(lambda: pk.Packet(**header, qubits=qubits)))
+
+
+def descriptor_corpus():
+    """300 headers and descriptor lists with up to 300 descriptors; 31 of
+    them hold a bad header or descriptor value."""
+    rng = random.Random(1729)
+    for _ in range(300):
+        bad_rate = rng.choice((0.0, 0.0, 0.001, 0.02))
+
+        def value(good):
+            return rng.choice(BAD_VALUES) if rng.random() < bad_rate else good
+
+        descs = []
+        for _ in range(rng.choice((0, 1, 2, 5, 40, 300))):
+            d = {"qubit_id": value(rng.randrange(2**32))}
+            if rng.random() < 0.7:
+                d["entanglement_group"] = value(
+                    rng.randrange(2**32) if rng.random() < 0.5 else 0)
+            if rng.random() < 0.7:
+                d["encoding"] = value(rng.choice((0, 1)))
+            descs.append(d)
+        ack = rng.random() < 0.5
+        header = {"requesting_station_id": value(rng.randrange(2**32)),
+                  "receiving_station_id": rng.randrange(2**32),
+                  "transmit_time_ns": rng.randrange(2**64),
+                  "ack_present": ack,
+                  "ack_session_id": rng.randrange(2**32) if ack else 0}
+        yield header, descs
+
+
 class TestEncode:
     def test_minimal_packet_hand_assembled(self):
         # assemble the expected frame field by field, independent of encode()
@@ -148,6 +214,21 @@ class TestEncode:
         with pytest.raises(pk.EncodeValidationError) as err:
             pk.encode(p)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("qubits, error, message", [
+        # hand-built descriptors that are not triples fail as unpacking them
+        # in order fails; none is dropped or truncated
+        (((1, 2),), ValueError, "not enough values to unpack (expected 3, got 2)"),
+        (((1, 2, 0), (3, 4, 0, 1)), ValueError,
+         "too many values to unpack (expected 3)"),
+        (((1, 2, 0), 5), TypeError, "cannot unpack non-iterable int object"),
+        (((True, 0, 0), (1, 2)), pk.EncodeValidationError,
+         "qubit_id=True is not an integer in [0, 4294967295]"),
+    ])
+    def test_malformed_descriptor_tuple(self, qubits, error, message):
+        with pytest.raises(error) as err:
+            pk.encode(pk.Packet(1, 2, 3, qubits=qubits))
+        assert type(err.value) is error and str(err.value) == message
 
     def test_frames_pinned(self):
         sha = hashlib.sha256()
@@ -280,6 +361,103 @@ class TestDescriptor:
         assert pk.QubitDescriptor(5) == pk.QubitDescriptor(5, 0, pk.ENCODING_DV)
 
 
+class TestDescriptorsView:
+    QUBITS = tuple(pk.QubitDescriptor(q, g, e) for q, g, e in (
+        (4000000000, 0, 0), (7, 4294967295, 1), (0, 12, 0), (3, 12, 1),
+        (2**31, 2**31, 0)))
+
+    def view(self, qubits=QUBITS):
+        return pk.decode(pk.encode(pk.Packet(1, 2, 3, qubits=qubits))).qubits
+
+    def test_is_a_read_only_sequence(self):
+        view = self.view()
+        assert type(view) is pk.Descriptors
+        assert isinstance(view, Sequence)
+        with pytest.raises(TypeError):
+            view[0] = pk.QubitDescriptor(1)
+
+    def test_len_and_iteration(self):
+        view = self.view()
+        assert len(view) == 5
+        assert list(view) == list(self.QUBITS)
+        assert {type(q) for q in view} == {pk.QubitDescriptor}
+        assert self.QUBITS[3] in view
+
+    @pytest.mark.parametrize("k", [0, 1, 4, -1, -5])
+    def test_int_indexing(self, k):
+        q = self.view()[k]
+        assert type(q) is pk.QubitDescriptor
+        assert q == self.QUBITS[k]
+        assert q.entanglement_group == self.QUBITS[k].entanglement_group
+
+    @pytest.mark.parametrize("k", [5, -6, 2**70])
+    def test_index_out_of_range(self, k):
+        with pytest.raises(IndexError):
+            self.view()[k]
+
+    def test_non_integer_index(self):
+        with pytest.raises(TypeError):
+            self.view()[1.0]
+
+    @pytest.mark.parametrize("k", [slice(1, 3), slice(None, None, -2),
+                                   slice(10, None), slice(-2, None)])
+    def test_slicing_returns_a_tuple(self, k):
+        assert self.view()[k] == self.QUBITS[k]
+        assert type(self.view()[k]) is tuple
+
+    def test_bool(self):
+        assert self.view()
+        assert not self.view(())
+        assert len(self.view(())) == 0
+
+    def test_equal_to_the_same_tuple(self):
+        view = self.view()
+        assert view == self.QUBITS and self.QUBITS == view
+        assert hash(view) == hash(self.QUBITS)
+        assert view == self.view()
+        assert self.view(()) == () and hash(self.view(())) == hash(())
+
+    @pytest.mark.parametrize("other", [
+        QUBITS[:-1],
+        QUBITS[:-1] + (pk.QubitDescriptor(2**31, 2**31, 1),),
+        QUBITS[::-1],
+        list(QUBITS),
+    ])
+    def test_not_equal_to_a_different_sequence(self, other):
+        view = self.view()
+        assert view != other and other != view
+        if isinstance(other, tuple):
+            assert view != self.view(other)
+
+    def test_repr(self):
+        assert repr(self.view()) == repr(self.QUBITS)
+
+    def test_packets_equal_both_ways(self):
+        by_hand = pk.Packet(1, 2, 3, qubits=self.QUBITS, error_corr=b"x")
+        decoded = pk.decode(pk.encode(by_hand))
+        by_dict = pk.packet_from_dict(pk.packet_to_dict(by_hand))
+        for p in (decoded, by_dict):
+            assert p == by_hand and by_hand == p
+            assert hash(p) == hash(by_hand)
+            assert pk.encode(p) == pk.encode(by_hand)
+        assert repr(decoded) == repr(by_hand)
+
+    def test_decode_peak_memory_is_about_the_frame(self):
+        # the descriptors stay one block: no object per descriptor
+        rng = random.Random(12)
+        frame = pk.encode(pk.Packet(1, 2, 3, qubits=tuple(
+            pk.QubitDescriptor(rng.randrange(2**32), rng.randrange(2**32),
+                               rng.randrange(2)) for _ in range(4096))))
+        tracemalloc.start()
+        try:
+            p = pk.decode(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(p.qubits) == 4096
+        assert peak < 2 * len(frame)
+
+
 class TestCrc32:
     def test_empty_input(self):
         assert pk.crc32(b"") == 0x00000000
@@ -289,6 +467,53 @@ class TestCrc32:
 
     def test_order_sensitivity(self):
         assert pk.crc32(b"\x00\x01") != pk.crc32(b"\x01\x00")
+
+
+class TestDictPath:
+    HEADER = {"requesting_station_id": 1, "receiving_station_id": 2,
+              "transmit_time_ns": 3}
+
+    def test_missing_id_before_later_non_object(self):
+        with pytest.raises(KeyError) as err:
+            pk.packet_from_dict({**self.HEADER, "qubits": [{}, 5]})
+        assert err.value.args == ("qubit_id",)
+
+    def test_non_object_before_later_missing_id(self):
+        with pytest.raises(TypeError) as err:
+            pk.packet_from_dict({**self.HEADER, "qubits": [5, {}]})
+        assert str(err.value) == "qubits[0] must be an object, got int"
+
+    @pytest.mark.parametrize("encoding", [0, 7])
+    def test_too_many_qubits(self, encoding):
+        # the count is checked before any descriptor value
+        spec = {**self.HEADER,
+                "qubits": [{"qubit_id": 1, "encoding": encoding}] * 65536}
+        p = pk.packet_from_dict(spec)
+        with pytest.raises(pk.EncodeValidationError) as err:
+            pk.encode(p)
+        assert str(err.value) == "too many qubits: 65536"
+
+    @settings(max_examples=500)
+    @given(st.one_of(st.lists(VALID_DESC, max_size=12),
+                     st.lists(ANY_DESC, max_size=12)),
+           st.one_of(U32, st.sampled_from(BAD_VALUES)))
+    def test_dict_and_tuple_encode_alike(self, descs, requesting_station_id):
+        header = {**self.HEADER, "requesting_station_id": requesting_station_id}
+        by_dict, by_tuple = dict_and_tuple_outcomes(header, descs)
+        assert by_dict == by_tuple
+
+    def test_outcomes_pinned(self):
+        # frames, or the class and message of every error, of the corpus
+        sha = hashlib.sha256()
+        kinds = set()
+        for header, descs in descriptor_corpus():
+            by_dict, by_tuple = dict_and_tuple_outcomes(header, descs)
+            assert by_dict == by_tuple
+            kinds.add(type(by_dict))
+            sha.update(repr(by_dict).encode())
+        assert kinds == {bytes, tuple}
+        assert sha.hexdigest() == ("2c4df8a895f17261017599aefca2bb07"
+                                   "14f07cdf83c5b3e0402893ca0f845c2c")
 
 
 class TestDictRoundTrip:

@@ -97,6 +97,13 @@ class TestLoading:
         with pytest.raises(ConfigError):
             load_scenario("/nonexistent/path.ini")
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "scenario.ini"
+        path.write_bytes(MINIMAL.encode() + b"# \xff\xfe\n")
+        with pytest.raises(ConfigError, match="^cannot read scenario file: "
+                           "'utf-8' codec can't decode byte 0xff"):
+            load_scenario(str(path))
+
 
 class TestValidation:
     def test_duplicate_id_names_the_id(self, tmp_path):
