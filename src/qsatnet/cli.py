@@ -27,8 +27,8 @@ import numpy as np
 from . import channel as ch
 from . import packet as pk
 from . import rates
-from .engine import check_count, check_real, make_stream
-from .scenario import ConfigError, load_scenario, run_scenario
+from .engine import SEED_MAX, check_count, check_real, make_stream
+from .scenario import load_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,6 +66,12 @@ def _check_flags(args, positive=(), nonnegative=()) -> None:
                        strict=name in positive)
 
 
+def _seed(args) -> int:
+    """--seed, or 0 when it is unset; a root seed is in [0, 2**64)."""
+    return 0 if args.seed is None else check_count(args.seed, "--seed", 0,
+                                                   SEED_MAX)
+
+
 def _read_input(path: Optional[str]) -> bytes:
     return sys.stdin.buffer.read() if path is None else Path(path).read_bytes()
 
@@ -98,8 +104,8 @@ def _cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
-            scenario.seed = args.seed
-    except ConfigError as exc:
+            scenario.seed = _seed(args)
+    except ValueError as exc:       # a ConfigError, or a bad --seed
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     with _output(args.output) as out:
@@ -124,7 +130,7 @@ def _cmd_rates_sweep(args) -> int:
         _check_flags(args, ("distance", "wavelength", "samples"), ("b",))
         surface = rates.sweep(waists, rx_radii, args.distance, args.b,
                               wavelength=args.wavelength, n_samples=args.samples,
-                              seed=args.seed if args.seed is not None else 0,
+                              seed=_seed(args),
                               parallel=args.parallel)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -172,8 +178,7 @@ def _cmd_channel_sample(args) -> int:
             raise ValueError(f"--t-step {args.t_step} puts sample {args.n - 1} "
                              f"past 2**63 fade intervals")
         model = _build_channel_model(args)
-        seed = args.seed if args.seed is not None else 0
-        rng = make_stream(seed, "channel-sample", args.model)
+        rng = make_stream(_seed(args), "channel-sample", args.model)
         times = np.arange(args.n, dtype=float)
         if isinstance(model, ch.FixedDiffraction):
             etas = np.full(args.n, model.eta)

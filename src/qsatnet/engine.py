@@ -35,6 +35,10 @@ _STREAM_VERSION_TAG = b"qsatnet-rng-v1"
 # temporaries stay within a core's L2 cache.
 DRAW_CHUNK = 16384
 
+# Root seeds are unsigned 64-bit: each seed in [0, SEED_MAX] keys its own
+# streams, and a seed outside would alias one inside.
+SEED_MAX = 2**64 - 1
+
 
 class EngineError(RuntimeError):
     """Scheduling violations and handler failures inside the event loop."""
@@ -55,12 +59,15 @@ def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf,
     raise ValueError(f"{name} must be finite{bound}, got {value}")
 
 
-def check_count(value, name: str, lo: int = 0) -> int:
-    """value if it is an int, not a bool, and at least lo; else a ValueError
-    naming the field.  Every whole-number field is checked here."""
-    if isinstance(value, int) and not isinstance(value, bool) and value >= lo:
+def check_count(value, name: str, lo: int = 0, hi: Optional[int] = None) -> int:
+    """value if it is an int, not a bool, at least lo and, when hi is given,
+    at most hi; else a ValueError naming the field.  Every whole-number
+    field is checked here."""
+    if (isinstance(value, int) and not isinstance(value, bool) and value >= lo
+            and (hi is None or value <= hi)):
         return value
-    raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def _mix64(x: int) -> int:

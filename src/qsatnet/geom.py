@@ -4,6 +4,12 @@ stations and circular-orbit satellites.
 Orbits are Keplerian two-body circles (no J2, no drag); Earth is a sphere.
 Earth rotation is a flag, off by default so geometry is time-independent in
 tests and on for realistic pass simulations.
+
+Positions and lines of sight also take arrays, one row per time, so a
+session can place a whole chunk of distribution batches in one call.  Each
+row equals the scalar call bit for bit: cos, sin and asin run per element
+through ``math``, and lengths and dot products run the 1-D dot kernel per
+row through ``np.vecdot``.
 """
 
 from __future__ import annotations
@@ -92,54 +98,78 @@ class LinkGeometry:
     propagation_delay: float
 
 
-def satellite_position(sat: Satellite, t: float) -> np.ndarray:
-    """Earth-centered inertial position [m] at time t >= 0.
+def _times(t) -> np.ndarray:
+    """t, a time or an array of times [s], as a 1-D float array; every
+    time must be finite and >= 0."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    for extreme in (times.min(), times.max()):
+        check_real(float(extreme), "t", 0)
+    return times
+
+
+def _per_element(fn, x: np.ndarray) -> np.ndarray:
+    """fn, a math function, of each element.  libm per element keeps every
+    row of an array form bit-equal to the scalar call."""
+    return np.array([fn(v) for v in x.tolist()])
+
+
+def satellite_position(sat: Satellite, t) -> np.ndarray:
+    """Earth-centered inertial position [m] at time t >= 0; for an array of
+    times, one row per time.
 
     Uniform circular motion: in-plane angle from the ascending node is
     phase_at_epoch + sqrt(mu/r^3) * t, rotated by inclination then RAAN.
     """
-    check_real(t, "t", 0)
+    times = _times(t)
     r = sat.orbital_radius
-    theta = sat.phase_at_epoch + math.sqrt(MU_EARTH / r**3) * t
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    theta = sat.phase_at_epoch + math.sqrt(MU_EARTH / r**3) * times
+    cos_t, sin_t = _per_element(math.cos, theta), _per_element(math.sin, theta)
     cos_i, sin_i = math.cos(sat.inclination), math.sin(sat.inclination)
     cos_o, sin_o = math.cos(sat.raan), math.sin(sat.raan)
-    return r * np.array([
-        cos_o * cos_t - sin_o * sin_t * cos_i,
-        sin_o * cos_t + cos_o * sin_t * cos_i,
-        sin_t * sin_i,
-    ])
+    rows = r * np.column_stack((cos_o * cos_t - sin_o * sin_t * cos_i,
+                                sin_o * cos_t + cos_o * sin_t * cos_i,
+                                sin_t * sin_i))
+    return rows if np.ndim(t) else rows[0]
 
 
-def ground_position(gs: GroundStation, t: float = 0.0,
+def ground_position(gs: GroundStation, t=0.0,
                     earth_rotation: bool = False) -> np.ndarray:
-    """Station position [m] on the spherical Earth surface at time t >= 0.
+    """Station position [m] on the spherical Earth surface at time t >= 0;
+    for an array of times, one row per time.
 
     With earth_rotation the longitude advances at the sidereal rate;
     otherwise the position is time-independent.
     """
-    check_real(t, "t", 0)
-    lon = gs.longitude + (SIDEREAL_RATE * t if earth_rotation else 0.0)
+    times = _times(t)
+    lon = gs.longitude + (SIDEREAL_RATE if earth_rotation else 0.0) * times
     cos_lat = math.cos(gs.latitude)
-    return R_EARTH * np.array([
-        cos_lat * math.cos(lon),
-        cos_lat * math.sin(lon),
-        math.sin(gs.latitude),
-    ])
+    rows = R_EARTH * np.column_stack((
+        cos_lat * _per_element(math.cos, lon),
+        cos_lat * _per_element(math.sin, lon),
+        np.full(len(times), math.sin(gs.latitude))))
+    return rows if np.ndim(t) else rows[0]
 
 
-def line_of_sight(ground_pos: np.ndarray,
-                  target_pos: np.ndarray) -> tuple[float, float]:
+def line_of_sight(ground_pos: np.ndarray, target_pos: np.ndarray):
     """Length [m] and angle above the local horizon plane [rad] of the line
-    of sight from a ground position to a target."""
+    of sight from a ground position to a target: two floats for two
+    positions, two arrays for rows of positions.
+
+    sqrt(vecdot(x, x)) is what the 1-D np.linalg.norm computes, with the
+    same dot kernel, so each row equals the call on that row's positions.
+    """
     ground = np.asarray(ground_pos, dtype=float)
     los = np.asarray(target_pos, dtype=float) - ground
-    distance = float(np.linalg.norm(los))
-    if distance == 0.0:
+    distance = np.sqrt(np.vecdot(los, los))
+    if np.any(distance == 0.0):
         raise ValueError("coincident points: elevation undefined")
-    up = ground / float(np.linalg.norm(ground))
-    sin_el = float(np.dot(los, up)) / distance
-    return distance, math.asin(min(1.0, max(-1.0, sin_el)))
+    up = ground / np.sqrt(np.vecdot(ground, ground))[..., np.newaxis]
+    sin_el = np.vecdot(los, up) / distance
+    elevation = _per_element(lambda s: math.asin(min(1.0, max(-1.0, s))),
+                             np.atleast_1d(sin_el))
+    if los.ndim == 1:
+        return float(distance), float(elevation[0])
+    return distance, elevation
 
 
 def elevation_angle(ground_pos: np.ndarray, target_pos: np.ndarray) -> float:

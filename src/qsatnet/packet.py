@@ -116,9 +116,10 @@ class EncodeValidationError(ValueError):
     """Packet violates an invariant and cannot be encoded."""
 
 
-def crc32(data: bytes) -> int:
-    """IEEE reflected CRC-32 (init 0xFFFFFFFF, final xor 0xFFFFFFFF)."""
-    return zlib.crc32(data) & _U32
+def crc32(data: bytes, value: int = 0) -> int:
+    """IEEE reflected CRC-32 (init 0xFFFFFFFF, final xor 0xFFFFFFFF); with
+    value, the CRC of the bytes whose CRC is value followed by data."""
+    return zlib.crc32(data, value) & _U32
 
 
 class QubitDescriptor(NamedTuple):
@@ -281,17 +282,23 @@ def _validate(p: Packet) -> bytes:
 
 
 def encode(p: Packet) -> bytes:
-    """Serialize a packet; raises EncodeValidationError on invariant breaks."""
+    """Serialize a packet; raises EncodeValidationError on invariant breaks.
+
+    The CRC runs over the body's parts in order, so the frame is built by
+    one join and never copied.
+    """
     block = _validate(p)
-    body = b"".join((MAGIC,
-                     struct.pack(">BB", p.version, p.flags),
-                     struct.pack(">IIQQH", p.requesting_station_id,
-                                 p.receiving_station_id, p.transmit_time_ns,
-                                 p.op_commence_time_ns, len(p.qubits)),
-                     block,
-                     struct.pack(">IH", p.ack_session_id, len(p.error_corr)),
-                     p.error_corr))
-    return body + struct.pack(">I", crc32(body)) + END_MARKER
+    body = (struct.pack(">2sBBIIQQH", MAGIC, p.version, p.flags,
+                        p.requesting_station_id, p.receiving_station_id,
+                        p.transmit_time_ns, p.op_commence_time_ns,
+                        len(p.qubits)),
+            block,
+            struct.pack(">IH", p.ack_session_id, len(p.error_corr)),
+            p.error_corr)
+    crc = 0
+    for part in body:
+        crc = crc32(part, crc)
+    return b"".join((*body, struct.pack(">I", crc), END_MARKER))
 
 
 def decode(data: bytes) -> Packet:

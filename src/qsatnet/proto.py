@@ -26,12 +26,37 @@ distill_completed, teleport_started, teleport_completed, session_done,
 session_failed.  Message payloads carry send_t/arrive_t so a replay can
 verify causality; deposit/distill/teleport payloads carry pair ids and
 timestamps so a replay can audit conservation and expiry.
+
+Distribution is planned ahead in chunks.  When a session's batch event
+finds no planned batch left, Network._plan plans the next chunk: as many
+batches as fit in DRAW_CHUNK pairs, and always at least one.  Their times
+chain as t + n / source_rate_hz in Python floats, exactly as the batch
+events are scheduled.  The relay and station positions and both arms'
+slant ranges and elevations come from one array call each (see geom); each
+arm's eta0 comes from one diffraction_transmittance call per batch; and one
+sample_pair_survival call covers the chunk's pairs, each pair at its own
+batch's eta0 (np.repeat), with survivors counted per batch by
+np.add.reduceat.  A batch event then reads one planned row.  Every planned
+value equals bit for bit what the batch alone at its own time would give,
+by these arithmetic rules:
+
+* lengths are np.sqrt(np.vecdot(x, x)), the same dot kernel per row as the
+  1-D np.linalg.norm; einsum and (x * x).sum(axis=1) round differently on
+  one slant range in six to eight;
+* cos, sin, asin and the exp of eta0 run per element through math:
+  np.arcsin and np.exp differ from libm in the last bit;
+* the survival products are elementwise, so a repeated eta0 array gives
+  what a scalar eta0 gives.
+
+The cap of DRAW_CHUNK pairs keeps a chunk's draws cache-sized and the peak
+memory flat in the number of batches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -163,13 +188,11 @@ def distilled_count(n_valid: int, yield_rate: float) -> int:
 
 
 class PairDraws:
-    """A session's per-pair draws, made ahead in chunks: the fade factor of
-    each downlink arm and the survival uniform.
+    """A session's per-pair draws: the fade factor of each downlink arm and
+    the survival uniform.
 
-    The streams are counter-based, so pair k gets the values that drawing
-    batch by batch would give it.  A chunk holds at most DRAW_CHUNK pairs and
-    never more than the session has left to attempt; a batch larger than a
-    chunk draws exactly what it lacks.
+    The streams are counter-based, so pair k gets the same values however
+    the session's pairs are split into takes.
     """
 
     def __init__(self, rng_a: RngStream, rng_b: RngStream,
@@ -179,31 +202,21 @@ class PairDraws:
         self._rngs = (rng_a, rng_b)
         self._rng_survival = rng_survival
         self._undrawn = pairs
-        self._cols = [np.empty(0)] * 3     # fade_a, fade_b, survival uniform
-        self._pos = 0
 
     def take(self, n: int) -> list:
         """[fade_a, fade_b, u] for the next n pairs."""
-        lacking = n - (len(self._cols[2]) - self._pos)
-        if lacking > 0:
-            m = min(self._undrawn, max(DRAW_CHUNK, lacking))
-            if m < lacking:
-                raise ValueError(f"{n} pairs exceed the session's target")
-            fresh = [ch.sample_downlink(self._fade, rng, m) for rng in self._rngs]
-            fresh.append(self._rng_survival.random(m))
-            self._cols = [np.concatenate((col[self._pos:], f))
-                          for col, f in zip(self._cols, fresh)]
-            self._pos = 0
-            self._undrawn -= m
-        cut = slice(self._pos, self._pos + n)
-        self._pos += n
-        return [col[cut] for col in self._cols]
+        if n > self._undrawn:
+            raise ValueError(f"{n} pairs exceed the session's target")
+        self._undrawn -= n
+        return [ch.sample_downlink(self._fade, rng, n) for rng in self._rngs] \
+            + [self._rng_survival.random(n)]
 
 
-def sample_pair_survival(draws: PairDraws, eta0_a: float, eta0_b: float,
+def sample_pair_survival(draws: PairDraws, eta0_a, eta0_b,
                          n: int) -> np.ndarray:
-    """Per-pair survival mask for one distribution batch: each attempted
-    pair survives with probability eta_a * eta_b."""
+    """Per-pair survival mask for the next n pairs: each attempted pair
+    survives with probability eta_a * eta_b.  eta0_a and eta0_b are the
+    arms' diffraction floors, one for all n pairs or one per pair."""
     fade_a, fade_b, u = draws.take(n)
     return u < (eta0_a * fade_a) * (eta0_b * fade_b)
 
@@ -224,7 +237,7 @@ class Session:
     pending_deposits: int = 0
     survivors_emitted: int = 0
     distribution_done: bool = False
-    arms: tuple = ()    # the last batch's downlink models to a and to b
+    eta0: tuple = ()    # the last emitted batch's diffraction floors at a, b
     yield_rate_used: Optional[float] = None
     pairs_attempted: int = 0
     pairs_survived: int = 0
@@ -235,6 +248,8 @@ class Session:
     failure_reason: Optional[str] = None
     # per-session streams persist across batches so draws never repeat
     draws: Optional[PairDraws] = None
+    # the planned batches not yet run; see Network._plan
+    plan: deque = field(default_factory=deque)
 
 
 class Network:
@@ -393,26 +408,61 @@ class Network:
         self._transition(sess, Phase.DISTRIBUTING)
         self._at(self.engine.now, "distribution_batch", self._on_batch, sess)
 
-    def _arm(self, leo: geom.Satellite, pos_leo: np.ndarray, station_id: int,
-             t: float) -> tuple:
-        """(downlink model, slant distance, elevation) from the relay to one
-        station."""
-        distance, elevation = geom.line_of_sight(
-            self._station_pos(station_id, t), pos_leo)
-        eta0 = ch.diffraction_transmittance(
-            ch.BeamParams(leo.aperture_radius, self.wavelength),
-            self.stations[station_id].aperture_radius, distance)
-        model = ch.DownlinkGaussianTail(eta0, self.downlink_b)
-        return model, distance, elevation
+    def _plan(self, sess: Session, t: float) -> deque:
+        """The session's next batches from time t, planned as one chunk
+        (see the module docstring).
+
+        Each row is (pairs, survivors, eta0_a, eta0_b, slant_a, slant_b) of
+        one batch.  A final None marks the batch that finds the relay below
+        the minimum elevation; nothing is planned past it.
+        """
+        times, sizes, pairs = [], [], 0
+        left = sess.pairs_target - sess.pairs_attempted
+        while left:
+            n = left if self.batch_size is None else min(self.batch_size, left)
+            # no finite end time reaches a batch at t = inf
+            if sizes and (pairs + n > DRAW_CHUNK or not math.isfinite(t)):
+                break
+            times.append(t)
+            sizes.append(n)
+            pairs += n
+            left -= n
+            t = t + n / self.source_rate_hz
+        times = np.array(times)
+        leo = self.satellites[sess.leo_id]
+        pos_leo = geom.satellite_position(leo, times)
+        arms = [geom.line_of_sight(self._station_pos(sid, times), pos_leo)
+                for sid in (sess.a_id, sess.b_id)]
+        # the first batch with the relay below the mask ends distribution
+        low = np.minimum(arms[0][1], arms[1][1]) < self.min_elevation
+        visible = int(np.argmax(low)) if low.any() else len(sizes)
+        sizes = sizes[:visible]
+        beam = ch.BeamParams(leo.aperture_radius, self.wavelength)
+        slant, eta0 = [], []
+        for sid, (distance, _) in zip((sess.a_id, sess.b_id), arms):
+            slant.append(distance[:visible].tolist())
+            rx = self.stations[sid].aperture_radius
+            eta0.append([ch.diffraction_transmittance(beam, rx, d)
+                         for d in slant[-1]])
+        survivors = []
+        if sizes:
+            # one draw for the chunk, each pair at its own batch's eta0
+            survive = sample_pair_survival(
+                sess.draws, *(np.repeat(e, sizes) for e in eta0), sum(sizes))
+            survivors = np.add.reduceat(survive, np.cumsum([0] + sizes[:-1]),
+                                        dtype=np.int64).tolist()
+        plan = deque(zip(sizes, survivors, *eta0, *slant))
+        if visible < len(times):
+            plan.append(None)
+        return plan
 
     def _on_batch(self, sess: Session) -> None:
         now = self.engine.now
-        leo = self.satellites[sess.leo_id]
-        pos_leo = geom.satellite_position(leo, now)
-        model_a, slant_a, el_a = self._arm(leo, pos_leo, sess.a_id, now)
-        model_b, slant_b, el_b = self._arm(leo, pos_leo, sess.b_id, now)
+        if not sess.plan:
+            sess.plan = self._plan(sess, now)
+        batch = sess.plan.popleft()
         remaining = sess.pairs_target - sess.pairs_attempted
-        if min(el_a, el_b) < self.min_elevation:
+        if batch is None:
             self._emit(sess.id, "link_lost",
                        {"leo": sess.leo_id,
                         "emitted_survivors": sess.survivors_emitted,
@@ -425,15 +475,12 @@ class Network:
                 self._fail(sess, Failure.LINK_LOST)
             return
 
-        n = remaining if self.batch_size is None else min(self.batch_size,
-                                                          remaining)
-        survive = sample_pair_survival(sess.draws, model_a.eta0, model_b.eta0, n)
-        survivors = int(np.count_nonzero(survive))
+        n, survivors, eta0_a, eta0_b, slant_a, slant_b = batch
         pair_ids = range(self._next_pair_id, self._next_pair_id + survivors)
         self._next_pair_id += survivors
         # x / c is monotonic in x, so this is the later arm's light time
         arrival_t = now + max(slant_a, slant_b) / geom.C_LIGHT
-        sess.arms = (model_a, model_b)
+        sess.eta0 = (eta0_a, eta0_b)
         sess.pairs_attempted += n
         sess.pending_deposits += 1
         sess.survivors_emitted += survivors
@@ -441,7 +488,7 @@ class Network:
             sess.distribution_done = True
         self._emit(sess.id, "batch_emitted",
                    {"leo": sess.leo_id, "attempted": n, "survivors": survivors,
-                    "eta0_a": model_a.eta0, "eta0_b": model_b.eta0,
+                    "eta0_a": eta0_a, "eta0_b": eta0_b,
                     "b": self.downlink_b, "emit_t": now, "arrival_t": arrival_t,
                     "slant_a_m": slant_a, "slant_b_m": slant_b})
         self._at(arrival_t, "pairs_arrival", self._on_deposit, sess,
@@ -484,7 +531,8 @@ class Network:
             return sess.policy.yield_rate
         # mean per-use rate of the two-arm product channel, sampled once per
         # session from its own substreams
-        model_a, model_b = sess.arms
+        model_a, model_b = (ch.DownlinkGaussianTail(eta0, self.downlink_b)
+                            for eta0 in sess.eta0)
         rng_a = self.engine.stream("proto", sess.id, "yield_a")
         rng_b = self.engine.stream("proto", sess.id, "yield_b")
         return min(1.0, chunked_mean(

@@ -57,7 +57,7 @@ from typing import Optional
 from . import channel as ch
 from . import geom
 from .proto import DistillationPolicy, Network
-from .engine import Engine, check_count, check_real
+from .engine import SEED_MAX, Engine, check_count, check_real
 
 
 class ConfigError(ValueError):
@@ -118,10 +118,11 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _int(lo: Optional[int] = None):
-    """Converter for a whole number, at least lo when lo is given.  Integer
-    text is read exactly; 1e3-style text only when it names an integer
-    exactly, so a 17-digit seed is never rounded through a float."""
+def _int(lo: int, hi: Optional[int] = None):
+    """Converter for a whole number of at least lo and, when hi is given, at
+    most hi.  Integer text is read exactly; 1e3-style text only when it
+    names an integer exactly, so a 17-digit seed is never rounded through a
+    float."""
     def conv(raw: str) -> int:
         try:
             value = int(raw)
@@ -133,7 +134,7 @@ def _int(lo: Optional[int] = None):
                 raise ValueError("not exact as a float; write the integer's "
                                  "digits") from None
             value = int(real)
-        return value if lo is None else check_count(value, "value", lo)
+        return check_count(value, "value", lo, hi)
     return conv
 
 
@@ -156,7 +157,7 @@ def load_scenario(path: str) -> Scenario:
     if not parser.has_section("scenario"):
         raise ConfigError("missing section", "scenario")
     scenario = Scenario(
-        seed=_get(parser, "scenario", "seed", _int(), default=0),
+        seed=_get(parser, "scenario", "seed", _int(0, SEED_MAX), default=0),
         t_end=_get(parser, "scenario", "t_end", _real(0), required=True),
         earth_rotation=_get(parser, "scenario", "earth_rotation", _to_bool,
                             default=False),

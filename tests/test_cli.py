@@ -39,7 +39,7 @@ class TestRun:
         ("", "33e2e5cf68a5a22e1289f8b9f3477b8bd7b99d239dccdb7a8a4b4cf2076ad902"),
         ("batch_size = 100\n",
          "2ae30b9387454f2d7c1d9f5ae08fb8be4c310f0261d35223f88d0768daee944f"),
-        # 37-pair batches straddle the session's draw-chunk refills
+        # 37-pair batches do not fill a draw chunk exactly
         ("batch_size = 37\n",
          "449eaf9c0fe270f20527d43b766e13093a5f63f31a4127a39d2694170f1ebc9e"),
         # b = 0: the arm fades consume no stream
@@ -52,6 +52,20 @@ class TestRun:
          "c16abd15b2d35f90a4ad49f655f4ec384f955f2037f2911819032ff8f45ec14e"),
         ("yield_samples = 16385\n",
          "758b6d947333afbd756c73163b1431acb787b6279b8ed51cd01ce394c49b644f"),
+        # station positions move with the sidereal rotation
+        ("earth_rotation = on\nbatch_size = 100\n",
+         "9e5595bd2166709218787093ba744928d91460bd7b9a3c857ea6fbf326f8481f"),
+        # a slow source: the relay sets after 402 batches, several draw
+        # chunks into the pass, and the yield uses the last batch's arms
+        ("t_end = 3000.0\nsource_rate_hz = 100.0\nbatch_size = 100\n"
+         "pairs_target = 100000\nmemory_coherence_s = 1000.0\nqubits = 5\n",
+         "9cc16cb54feca83bd84c7a611b18ecea04e8658e13b126e656e8b9bf0ca77fb4"),
+        # full memories drop 423 survivors
+        ("memory_capacity = 300\nbatch_size = 100\n",
+         "9d9cd57223c8a7b68962be4df5d64f4bdf77d2b1d836cc91d4de214be4a3f64e"),
+        # one batch larger than a draw chunk
+        ("pairs_target = 40000\n",
+         "ea434c184f3829432cd69b2fb5bd13e923dde2d45c95e615b93518cec771da56"),
     ])
     def test_trace_bytes_pinned(self, tmp_path, extra, digest):
         # the bundled example, one batch or fixed-size batches; each line of
@@ -73,6 +87,26 @@ class TestRun:
         run_cli(["run", EXAMPLE, "--output", str(a)])
         run_cli(["run", EXAMPLE, "--seed", "7", "--output", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616",
+                                      "18446744073709551617"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        # --seed 2**64 + 1 would otherwise print what --seed 1 prints
+        sweep = ["rates-sweep", "--distance", "1e6", "--samples", "1",
+                 "--waist-grid", "0.2", "--rx-grid", "0.5"]
+        sample = ["channel-sample", "--model", "downlink", "--n", "3"]
+        for argv in (["run", EXAMPLE], sweep, sample):
+            out = tmp_path / "out"
+            assert run_cli([*argv, f"--seed={seed}", "--output", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: --seed must be an integer in "
+                f"[0, 18446744073709551615], got {seed}\n")
+            assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run_cli(["channel-sample", "--model", "downlink", "--n", "3",
+                        "--seed", str(2**64 - 1), "--output", str(out)]) == 0
 
     def test_duplicate_id_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

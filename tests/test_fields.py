@@ -157,7 +157,9 @@ def bad_count_text(lo=0):
 # (section, key, the name the message gives the field when the node's own
 # constructor is what rejects it, the texts the field must reject)
 SCENARIO_FIELDS = [
-    ("scenario", "seed", None, st.one_of(NON_INTEGRAL, MISTYPED)),
+    ("scenario", "seed", None, st.one_of(
+        NON_INTEGRAL, MISTYPED, st.integers(max_value=-1).map(str),
+        st.integers(min_value=2**64).map(str))),
     ("scenario", "t_end", None, bad_real_text(0)),
     ("scenario", "min_elevation_deg", None, bad_real_text(-90, 90)),
     ("channel", "wavelength_m", None, bad_real_text(0, strict=True)),

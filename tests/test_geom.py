@@ -3,12 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from audit_util import brute_force_select
 from qsatnet import geom
 from qsatnet.geom import (GroundStation, Satellite, Tier, elevation_angle,
-                          ground_position, link_geometry, satellite_position,
-                          select_leo)
+                          ground_position, line_of_sight, link_geometry,
+                          satellite_position, select_leo)
 
 
 def leo(sat_id, altitude=1200e3, incl=0.0, raan=0.0, phase=0.0, aperture=0.2):
@@ -256,3 +257,116 @@ class TestSelectLeo:
         # identical orbits, distinct ids: scores tie exactly
         twins = [leo(14, phase=0.0), leo(3, phase=0.0), leo(8, phase=0.0)]
         assert select_leo(twins, gs_a, gs_b, 0.0) == 3
+
+
+# Array forms: the distribution plan runs geometry over rows of batch times,
+# and the trace pins the scalar values, so every row must be bit-equal.
+ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
+TIMES = st.lists(st.floats(0.0, 1e5), min_size=1, max_size=40)
+
+
+def bits(x) -> str:
+    return float(x).hex()
+
+
+def rows_bits(rows) -> list:
+    return [[bits(v) for v in row] for row in rows]
+
+
+def reference_satellite_position(sat, t):
+    """The scalar form in Python floats and math."""
+    r = sat.orbital_radius
+    theta = sat.phase_at_epoch + math.sqrt(geom.MU_EARTH / r**3) * t
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cos_i, sin_i = math.cos(sat.inclination), math.sin(sat.inclination)
+    cos_o, sin_o = math.cos(sat.raan), math.sin(sat.raan)
+    return r * np.array([cos_o * cos_t - sin_o * sin_t * cos_i,
+                         sin_o * cos_t + cos_o * sin_t * cos_i,
+                         sin_t * sin_i])
+
+
+def reference_ground_position(gs, t, earth_rotation):
+    """The scalar form in Python floats and math."""
+    lon = gs.longitude + (geom.SIDEREAL_RATE * t if earth_rotation else 0.0)
+    cos_lat = math.cos(gs.latitude)
+    return geom.R_EARTH * np.array([cos_lat * math.cos(lon),
+                                    cos_lat * math.sin(lon),
+                                    math.sin(gs.latitude)])
+
+
+def reference_line_of_sight(ground, target):
+    """The scalar form: np.linalg.norm, np.dot and math.asin."""
+    los = target - ground
+    distance = float(np.linalg.norm(los))
+    sin_el = float(np.dot(los, ground / float(np.linalg.norm(ground)))) / distance
+    return distance, math.asin(min(1.0, max(-1.0, sin_el)))
+
+
+class TestArrayForms:
+    @given(altitude=st.floats(geom.LEO_ALTITUDE_MIN, geom.LEO_ALTITUDE_MAX),
+           incl=ANGLE, raan=ANGLE, phase=ANGLE, times=TIMES)
+    def test_satellite_rows_equal_scalar_calls(self, altitude, incl, raan,
+                                               phase, times):
+        sat = leo(1, altitude, incl, raan, phase)
+        rows = satellite_position(sat, np.array(times))
+        assert rows.shape == (len(times), 3)
+        assert rows_bits(rows) == rows_bits(
+            [satellite_position(sat, t) for t in times]) == rows_bits(
+            [reference_satellite_position(sat, t) for t in times])
+
+    @given(lat=st.floats(-90.0, 90.0), lon=st.floats(-720.0, 720.0),
+           rotation=st.booleans(), times=TIMES)
+    def test_ground_rows_equal_scalar_calls(self, lat, lon, rotation, times):
+        gs = station(1, lat, lon)
+        rows = ground_position(gs, np.array(times), rotation)
+        assert rows.shape == (len(times), 3)
+        assert rows_bits(rows) == rows_bits(
+            [ground_position(gs, t, rotation) for t in times]) == rows_bits(
+            [reference_ground_position(gs, t, rotation) for t in times])
+
+    @given(lat=st.floats(-90.0, 90.0), lon=st.floats(-180.0, 180.0),
+           altitude=st.floats(geom.LEO_ALTITUDE_MIN, geom.LEO_ALTITUDE_MAX),
+           incl=ANGLE, phase=ANGLE, rotation=st.booleans(), times=TIMES)
+    def test_line_of_sight_rows_equal_scalar_calls(self, lat, lon, altitude,
+                                                   incl, phase, rotation,
+                                                   times):
+        ground = ground_position(station(1, lat, lon), np.array(times),
+                                 rotation)
+        target = satellite_position(leo(1, altitude, incl, 0.0, phase),
+                                    np.array(times))
+        distances, elevations = line_of_sight(ground, target)
+        for k in range(len(times)):
+            expected = [bits(v) for v in line_of_sight(ground[k], target[k])]
+            assert [bits(distances[k]), bits(elevations[k])] == expected
+            assert expected == [bits(v) for v in
+                                reference_line_of_sight(ground[k], target[k])]
+
+    def test_bad_time_in_array_rejected(self):
+        with pytest.raises(ValueError, match="^t must be"):
+            satellite_position(leo(1), np.array([0.0, -1.0, 2.0]))
+        with pytest.raises(ValueError, match="^t must be"):
+            ground_position(station(1, 0.0, 0.0), np.array([0.0, math.nan]),
+                            True)
+
+
+def test_numpy_kernels_equal_the_scalar_forms():
+    """The numpy-equals-scalar assumptions the array forms rely on, each
+    over rows of the magnitudes the geometry sees."""
+    rng = np.random.default_rng(2024)
+    a = rng.uniform(-8e6, 8e6, (20_000, 3)) * rng.choice([1e-3, 1.0, 1e3],
+                                                        (20_000, 1))
+    b = rng.uniform(-1.0, 1.0, (20_000, 3))
+    # np.vecdot runs the 1-D dot kernel on each row
+    assert all(bits(v) == bits(np.dot(x, y))
+               for v, x, y in zip(np.vecdot(a, b), a, b))
+    # sqrt(vecdot(x, x)) is the 1-D np.linalg.norm of each row
+    assert all(bits(v) == bits(np.linalg.norm(x))
+               for v, x in zip(np.sqrt(np.vecdot(a, a)), a))
+    # np.sqrt and elementwise + - * / are the IEEE operations math and
+    # Python floats use
+    x, y = a[:, 0], b[:, 1]
+    for got, op in ((np.sqrt(np.abs(x)), lambda p, q: math.sqrt(abs(p))),
+                    (x + y, float.__add__), (x - y, float.__sub__),
+                    (x * y, float.__mul__), (x / y, float.__truediv__)):
+        assert [bits(v) for v in got] == [
+            bits(op(p, q)) for p, q in zip(x.tolist(), y.tolist())]

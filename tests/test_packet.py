@@ -457,6 +457,23 @@ class TestDescriptorsView:
         assert len(p.qubits) == 4096
         assert peak < 2 * len(frame)
 
+    def test_encode_peak_memory_is_about_the_frame(self):
+        # the frame is joined once from its parts, never copied again
+        rng = random.Random(13)
+        frame = pk.encode(pk.Packet(1, 2, 3, qubits=tuple(
+            pk.QubitDescriptor(rng.randrange(2**32), rng.randrange(2**32),
+                               rng.randrange(2)) for _ in range(4096)),
+            error_corr=bytes(64)))
+        p = pk.decode(frame)
+        tracemalloc.start()
+        try:
+            again = pk.encode(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again == frame
+        assert peak <= 2.0 * len(frame)
+
 
 class TestCrc32:
     def test_empty_input(self):
@@ -467,6 +484,11 @@ class TestCrc32:
 
     def test_order_sensitivity(self):
         assert pk.crc32(b"\x00\x01") != pk.crc32(b"\x01\x00")
+
+    @pytest.mark.parametrize("cut", [0, 1, 4, 9])
+    def test_running_value_continues_the_crc(self, cut):
+        data = b"123456789"
+        assert pk.crc32(data[cut:], pk.crc32(data[:cut])) == 0xCBF43926
 
 
 class TestDictPath:

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from audit_util import brute_force_select, replay_audit
+from qsatnet import channel as ch
 from qsatnet import geom
 from qsatnet.engine import Engine, make_stream
 from qsatnet.proto import (DistillationPolicy, EbitPool, Failure, Network,
                            PairDraws, Phase, distilled_count,
                            sample_pair_survival)
+from test_geom import (reference_ground_position, reference_line_of_sight,
+                       reference_satellite_position)
 
 
 def station(st_id, lon_deg, coherence=1.0, capacity=100_000):
@@ -293,6 +297,73 @@ class TestDistribution:
                                       if d["created_at"] >= cutoff)
         assert len(sess.pool) == done["distilled"] - 1
         replay_audit(net.trace, coherence_time=0.3)
+
+
+class TestPlannedBatches:
+    """The chunked plan against a per-batch oracle: each batch's geometry
+    from the scalar reference forms at its own time, and its survivors from
+    its own draws of the session's streams."""
+
+    @staticmethod
+    def oracle(net, sess, t, rotation):
+        leo = net.satellites[sess.leo_id]
+        beam = ch.BeamParams(leo.aperture_radius, net.wavelength)
+        rngs = [net.engine.stream("proto", sess.id, arm)
+                for arm in ("arm_a", "arm_b", "survival")]
+        left = sess.pairs_target
+        while left:
+            pos_leo = reference_satellite_position(leo, t)
+            arms = [reference_line_of_sight(reference_ground_position(
+                net.stations[sid], t, rotation), pos_leo)
+                for sid in (sess.a_id, sess.b_id)]
+            if min(el for _, el in arms) < net.min_elevation:
+                yield "link_lost", t
+                return
+            n = left if net.batch_size is None else min(net.batch_size, left)
+            eta0 = [ch.diffraction_transmittance(
+                beam, net.stations[sid].aperture_radius, d)
+                for sid, (d, _) in zip((sess.a_id, sess.b_id), arms)]
+            eta = [e * np.clip(1.0 - np.abs(rng.standard_normal(n))
+                               * net.downlink_b, 0.0, 1.0)
+                   for e, rng in zip(eta0, rngs)]
+            survivors = int(np.count_nonzero(rngs[2].random(n)
+                                             < eta[0] * eta[1]))
+            yield "batch_emitted", (t, n, survivors, *eta0, arms[0][0],
+                                    arms[1][0])
+            left -= n
+            t = t + n / net.source_rate_hz
+
+    @settings(max_examples=30)
+    @given(batch_size=st.one_of(st.none(), st.integers(1, 3000)),
+           batches=st.integers(1, 60), extra=st.integers(0, 2999),
+           rate=st.sampled_from([1e6, 1e3, 20.0, 2.0]),
+           rotation=st.booleans(), b=st.sampled_from([0.0, 0.1, 0.7]))
+    def test_batches_equal_per_batch_oracle(self, batch_size, batches, extra,
+                                            rate, rotation, b):
+        pairs = (batches * batch_size + extra % batch_size if batch_size
+                 else batches * 600 + extra)
+        eng, net = small_network(seed=batches, batch_size=batch_size,
+                                 source_rate_hz=rate, earth_rotation=rotation,
+                                 downlink_b=b)
+        sess = net.request(1, 2, qubits=1, pairs_target=pairs,
+                           policy=DistillationPolicy(yield_rate=0.5), t=0.0)
+        eng.run_until(1e6)
+        start = events(net, "leo_command_received")[0]["t"]
+        got = [(r["event"], r["t"] if r["event"] == "link_lost" else (
+                r["t"], *(r["payload"][key] for key in (
+                    "attempted", "survivors", "eta0_a", "eta0_b", "slant_a_m",
+                    "slant_b_m"))))
+               for r in net.trace if r["event"] in ("batch_emitted",
+                                                    "link_lost")]
+        assert got == list(self.oracle(net, sess, start, rotation))
+
+    def test_source_slow_enough_to_overflow_time(self):
+        # the second batch falls at t = inf: it is neither run nor planned
+        eng, net = small_network(batch_size=100, source_rate_hz=1e-307)
+        net.request(1, 2, qubits=1, pairs_target=1000, t=0.0)
+        eng.run_until(1e300)
+        assert [r["payload"]["attempted"]
+                for r in events(net, "batch_emitted")] == [100]
 
 
 class TestLinkLoss:

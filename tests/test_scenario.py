@@ -156,6 +156,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"\[scenario\] seed:"):
             load_scenario(write_scenario(tmp_path, body))
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616",
+                                      "18446744073709551617"])
+    def test_seed_outside_64_bits_rejected(self, tmp_path, seed):
+        # 2**64 + 1 would key the same streams as 1
+        body = MINIMAL.replace("seed = 1", f"seed = {seed}")
+        with pytest.raises(ConfigError, match=r"^\[scenario\] seed: .*"
+                                              r"in \[0, 18446744073709551615\]"):
+            load_scenario(write_scenario(tmp_path, body))
+
+    def test_seed_range_edges_accepted(self, tmp_path):
+        for seed in (0, 2**64 - 1):
+            body = MINIMAL.replace("seed = 1", f"seed = {seed}")
+            assert load_scenario(write_scenario(tmp_path, body)).seed == seed
+
     # section of each field; MINIMAL has no [channel] section
     SECTION = {"t_end": "scenario", "min_elevation_deg": "scenario",
                "wavelength_m": "channel", "downlink_b": "channel",
