@@ -31,6 +31,7 @@ from .engine import RngStream, check_real
 
 DEFAULT_WAVELENGTH = 1.55e-6      # telecom band [m]
 DEFAULT_FADE_COHERENCE = 1e-3     # uplink beam-wander coherence time [s]
+DEFAULT_DOWNLINK_B = 0.1          # downlink Gaussian-tail fade scale b
 
 
 class InfeasibleTargetError(ValueError):

@@ -19,7 +19,7 @@ import hashlib
 import heapq
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +36,8 @@ _STREAM_VERSION_TAG = b"qsatnet-rng-v1"
 DRAW_CHUNK = 16384
 
 # Root seeds are unsigned 64-bit: each seed in [0, SEED_MAX] keys its own
-# streams, and a seed outside would alias one inside.
+# streams, and a seed outside would alias one inside, so Engine and
+# make_stream reject it.
 SEED_MAX = 2**64 - 1
 
 
@@ -95,7 +96,7 @@ def derive_key(root_seed: int, parts: tuple) -> int:
     """
     h = hashlib.blake2b(digest_size=8)
     h.update(_STREAM_VERSION_TAG)
-    h.update(struct.pack(">Q", root_seed & _MASK64))
+    h.update(struct.pack(">Q", root_seed))
     for p in parts:
         if isinstance(p, bool) or not isinstance(p, (int, str)):
             raise TypeError(f"stream key parts must be int or str, got {p!r}")
@@ -169,7 +170,8 @@ class RngStream:
 
 def make_stream(root_seed: int, *parts) -> RngStream:
     """Stream for a key tuple without an Engine instance (sweeps, CLI)."""
-    return RngStream(derive_key(root_seed, parts))
+    return RngStream(derive_key(check_count(root_seed, "seed", 0, SEED_MAX),
+                                parts))
 
 
 @dataclass
@@ -177,15 +179,14 @@ class Event:
     time: float
     seq: int
     kind: str
-    payload: dict = field(default_factory=dict)
-    handler: Optional[Callable[["Event"], None]] = None
+    handler: Callable[["Event"], None]
 
 
 class Engine:
     """Single-threaded event loop; dequeue order is (time, seq) lexicographic."""
 
     def __init__(self, seed: int = 0):
-        self.seed = int(seed)
+        self.seed = check_count(seed, "seed", 0, SEED_MAX)
         self._now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self.scheduled_count = 0
@@ -198,15 +199,14 @@ class Engine:
     def stream(self, *parts) -> RngStream:
         return RngStream(derive_key(self.seed, parts))
 
-    def schedule(self, time: float, kind: str, handler: Callable[[Event], None],
-                 payload: Optional[dict] = None) -> Event:
+    def schedule(self, time: float, kind: str,
+                 handler: Callable[[Event], None]) -> Event:
         """Enqueue an event; seq is assigned in schedule-call order."""
         t = float(time)
         if not t >= self._now:     # also rejects NaN
             raise EngineError(
                 f"cannot schedule '{kind}' at t={t}, current t={self._now}")
-        ev = Event(t, self.scheduled_count, kind,
-                   payload if payload is not None else {}, handler)
+        ev = Event(t, self.scheduled_count, kind, handler)
         self.scheduled_count += 1
         heapq.heappush(self._queue, (ev.time, ev.seq, ev))
         return ev
@@ -226,8 +226,7 @@ class Engine:
             _, _, ev = heapq.heappop(self._queue)
             self._now = ev.time
             try:
-                if ev.handler is not None:
-                    ev.handler(ev)
+                ev.handler(ev)
             except EngineError:
                 raise
             except Exception as exc:

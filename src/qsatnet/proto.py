@@ -229,7 +229,6 @@ class Session:
     qubits_requested: int
     pairs_target: int
     policy: DistillationPolicy
-    created_t: float
     phase: Phase = Phase.IDLE
     geo_id: Optional[int] = None
     leo_id: Optional[int] = None
@@ -260,7 +259,7 @@ class Network:
     def __init__(self, engine: Engine, stations: Sequence[geom.GroundStation],
                  satellites: Sequence[geom.Satellite], *,
                  wavelength: float = ch.DEFAULT_WAVELENGTH,
-                 downlink_b: float = 0.1,
+                 downlink_b: float = ch.DEFAULT_DOWNLINK_B,
                  min_elevation: float = geom.DEFAULT_MIN_ELEVATION,
                  earth_rotation: bool = False,
                  batch_size: Optional[int] = None,
@@ -346,7 +345,7 @@ class Network:
         check_count(pairs_target, "pairs_target", 1)
         t0 = self.engine.now if t is None else float(t)
         sess = Session(self._next_session_id, a_id, b_id, qubits, pairs_target,
-                       policy or DistillationPolicy(), t0)
+                       policy or DistillationPolicy())
         self._next_session_id += 1
         self.sessions[sess.id] = sess
         station_a = self.stations[a_id]

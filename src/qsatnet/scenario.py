@@ -1,48 +1,59 @@
 """Scenario files: plain-text INI with one section per node.
 
-Layout (# comments allowed anywhere):
+Layout (# comments allowed anywhere).  The keys commented out are optional:
+an absent one is not passed on, so the constructor it feeds takes its own
+default.
 
     [scenario]
-    seed = 42
     t_end = 1.0
-    earth_rotation = off
-    min_elevation_deg = 10.0
+    # seed = 42
+    # earth_rotation = on
+    # min_elevation_deg = 15.0
 
-    [station.<name>]         # one per ground station
+    [station.alice]          # one per ground station
     id = 1
     latitude_deg = 0.0
     longitude_deg = 0.0
     aperture_radius_m = 1.25
-    memory_coherence_s = 1.0
-    memory_capacity = 100000
+    # memory_coherence_s = 0.5
+    # memory_capacity = 5000
 
-    [satellite.<name>]       # one per satellite
+    [station.bob]
+    id = 2
+    latitude_deg = 0.0
+    longitude_deg = 4.0
+    aperture_radius_m = 1.25
+
+    [satellite.leo1]         # one per satellite
     id = 201
     tier = LEO               # or GEO
-    altitude_m = 1200e3
+    altitude_m = 1200e3      # optional for GEO, which sits at geom.GEO_ALTITUDE
     aperture_radius_m = 0.2
-    inclination_deg = 0.0    # optional, with raan_deg / phase_at_epoch_deg
-    raan_deg = 0.0
-    phase_at_epoch_deg = 2.0
+    # inclination_deg = 30.0
+    # raan_deg = 15.0
+    # phase_at_epoch_deg = 2.0
 
-    [channel]
-    wavelength_m = 1.55e-6
-    downlink_b = 0.1
+    [channel]                # optional section
+    # wavelength_m = 1.3e-6
+    # downlink_b = 0.2
 
-    [protocol]
+    [protocol]               # optional section; without it nothing is requested
     requester = alice        # station section names
     responder = bob
     qubits = 50
     pairs_target = 10000
-    distill_rounds = 1
-    # yield_rate = 0.1       # optional; default is the product-channel mean rate
-    yield_samples = 100000
-    # batch_size = 5000      # optional; default emits one batch
-    source_rate_hz = 1e6
-    min_raw_pairs = 1
+    # distill_rounds = 2
+    # yield_rate = 0.1       # default: the product-channel mean rate
+    # yield_samples = 50000
+    # batch_size = 5000      # default: one batch
+    # source_rate_hz = 2e6
+    # min_raw_pairs = 10
 
-All ids (stations and satellites together) must be unique and every name
-referenced in [protocol] must be defined; validation runs before any
+A key that its section's key table does not list is rejected as
+`[section] key: unknown key`.  configparser copies each [DEFAULT] key into
+every section, and no key is known to every section, so [DEFAULT] must be
+empty.  All ids (stations and satellites together) must be unique and
+[protocol] may name only defined stations; validation runs before any
 simulation starts.
 """
 
@@ -68,54 +79,30 @@ class ConfigError(ValueError):
         if option:
             where += f" {option}"
         super().__init__(f"{where}: {message}" if where else message)
-        self.section = section
-        self.option = option
-
-
-@dataclass
-class ProtocolParams:
-    requester: int
-    responder: int
-    qubits: int
-    pairs_target: int
-    policy: DistillationPolicy
-    batch_size: Optional[int] = None
-    source_rate_hz: float = 1e6
-    min_raw_pairs: int = 1
 
 
 @dataclass
 class Scenario:
-    seed: int
+    """A loaded scenario.  network and request hold the [protocol] keywords
+    the file gives for Network and Network.request (request is None without
+    a [protocol] section)."""
     t_end: float
-    earth_rotation: bool
-    min_elevation: float
-    stations: list = field(default_factory=list)
-    satellites: list = field(default_factory=list)
+    stations: list
+    satellites: list
+    seed: int = 0
+    earth_rotation: bool = False
+    min_elevation: float = geom.DEFAULT_MIN_ELEVATION
     wavelength: float = ch.DEFAULT_WAVELENGTH
-    downlink_b: float = 0.1
-    protocol: Optional[ProtocolParams] = None
-
-
-def _get(parser, section, option, conv, default=None, required=False):
-    if not parser.has_option(section, option):
-        if required:
-            raise ConfigError("missing required field", section, option)
-        return default
-    raw = parser.get(section, option)
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value {raw!r}: {exc}", section, option) from exc
+    downlink_b: float = ch.DEFAULT_DOWNLINK_B
+    network: dict = field(default_factory=dict)
+    request: Optional[dict] = None
 
 
 def _to_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _int(lo: int, hi: Optional[int] = None):
@@ -143,9 +130,90 @@ def _real(lo: float = -math.inf, hi: float = math.inf, strict: bool = False):
     return lambda raw: check_real(float(raw), "value", lo, hi, strict)
 
 
+def _deg(lo: float = -math.inf, hi: float = math.inf):
+    """Converter for an angle in degrees within [lo, hi], to radians."""
+    degrees = _real(lo, hi)
+    return lambda raw: math.radians(degrees(raw))
+
+
+# Key tables: INI key -> (constructor keyword, converter, required).
+_SCENARIO = {
+    "seed": ("seed", _int(0, SEED_MAX), False),
+    "t_end": ("t_end", _real(0), True),
+    "earth_rotation": ("earth_rotation", _to_bool, False),
+    "min_elevation_deg": ("min_elevation", _deg(-90, 90), False),
+}
+_CHANNEL = {
+    "wavelength_m": ("wavelength", _real(0, strict=True), False),
+    "downlink_b": ("downlink_b", _real(0), False),
+}
+_STATION = {
+    "id": ("id", _int(0), True),
+    "latitude_deg": ("latitude", _deg(-90, 90), True),
+    "longitude_deg": ("longitude", _deg(), True),
+    "aperture_radius_m": ("aperture_radius", _real(0, strict=True), True),
+    "memory_coherence_s": ("memory_coherence_time", _real(0, strict=True),
+                           False),
+    "memory_capacity": ("memory_capacity", _int(0), False),
+}
+_SATELLITE = {
+    "id": ("id", _int(0), True),
+    "tier": ("tier", lambda raw: geom.Tier(raw.upper()), True),
+    # required for LEO; load_scenario puts GEO satellites at GEO_ALTITUDE
+    "altitude_m": ("altitude", _real(), False),
+    "aperture_radius_m": ("aperture_radius", _real(0, strict=True), True),
+    "inclination_deg": ("inclination", _deg(), False),
+    "raan_deg": ("raan", _deg(), False),
+    "phase_at_epoch_deg": ("phase_at_epoch", _deg(), False),
+}
+# [protocol] feeds three constructors, one table each
+_REQUEST = {
+    "requester": ("a_id", str, True),     # a station name until resolved
+    "responder": ("b_id", str, True),
+    "qubits": ("qubits", _int(1), True),
+    "pairs_target": ("pairs_target", _int(1), True),
+}
+_POLICY = {
+    "distill_rounds": ("rounds", _int(1), False),
+    "yield_rate": ("yield_rate", _real(0, 1), False),
+    "yield_samples": ("yield_samples", _int(1), False),
+}
+_NETWORK = {
+    "batch_size": ("batch_size", _int(1), False),
+    "source_rate_hz": ("source_rate_hz", _real(0, strict=True), False),
+    "min_raw_pairs": ("min_raw_pairs", _int(0), False),
+}
+
+
+def _read(parser, section: str, *tables) -> list[dict]:
+    """The section's keys as one keyword dict per table.  A key in no table
+    is rejected; an absent optional key is left out of its dict."""
+    for key in parser.options(section):
+        if not any(key in table for table in tables):
+            raise ConfigError("unknown key", section, key)
+    out = []
+    for table in tables:
+        kwargs = {}
+        for key, (keyword, conv, required) in table.items():
+            if not parser.has_option(section, key):
+                if required:
+                    raise ConfigError("missing required field", section, key)
+                continue
+            raw = parser.get(section, key)
+            try:
+                kwargs[keyword] = conv(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value {raw!r}: {exc}", section,
+                                  key) from exc
+        out.append(kwargs)
+    return out
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file; raises ConfigError on any defect."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are plain text: no %-interpolation, so a stray % is a bad value
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -156,132 +224,64 @@ def load_scenario(path: str) -> Scenario:
 
     if not parser.has_section("scenario"):
         raise ConfigError("missing section", "scenario")
-    scenario = Scenario(
-        seed=_get(parser, "scenario", "seed", _int(0, SEED_MAX), default=0),
-        t_end=_get(parser, "scenario", "t_end", _real(0), required=True),
-        earth_rotation=_get(parser, "scenario", "earth_rotation", _to_bool,
-                            default=False),
-        min_elevation=math.radians(_get(parser, "scenario", "min_elevation_deg",
-                                        _real(-90, 90), default=10.0)),
-    )
-
+    settings, = _read(parser, "scenario", _SCENARIO)
     if parser.has_section("channel"):
-        scenario.wavelength = _get(parser, "channel", "wavelength_m",
-                                   _real(0, strict=True),
-                                   default=ch.DEFAULT_WAVELENGTH)
-        scenario.downlink_b = _get(parser, "channel", "downlink_b", _real(0),
-                                   default=0.1)
+        settings.update(*_read(parser, "channel", _CHANNEL))
 
-    names: dict[str, int] = {}
+    stations, satellites = [], []
+    station_ids: dict[str, int] = {}
     seen_ids: dict[int, str] = {}
     for section in parser.sections():
         if section.startswith("station."):
-            node_id = _get(parser, section, "id", _int(0), required=True)
-            station = _node(section, lambda: geom.GroundStation(
-                    id=node_id,
-                    latitude=math.radians(_get(parser, section, "latitude_deg",
-                                               _real(-90, 90), required=True)),
-                    longitude=math.radians(_get(parser, section, "longitude_deg",
-                                                _real(), required=True)),
-                    aperture_radius=_get(parser, section, "aperture_radius_m",
-                                         _real(0, strict=True), required=True),
-                    memory_coherence_time=_get(parser, section,
-                                               "memory_coherence_s",
-                                               _real(0, strict=True),
-                                               default=1.0),
-                    memory_capacity=_get(parser, section, "memory_capacity",
-                                         _int(0), default=100_000),
-            ))
-            _register(seen_ids, node_id, section)
-            names[section.split(".", 1)[1]] = node_id
-            scenario.stations.append(station)
+            node = _node(section, geom.GroundStation,
+                         *_read(parser, section, _STATION))
+            station_ids[section.split(".", 1)[1]] = node.id
+            stations.append(node)
         elif section.startswith("satellite."):
-            node_id = _get(parser, section, "id", _int(0), required=True)
-            tier_raw = _get(parser, section, "tier", str, required=True).strip().upper()
-            if tier_raw not in ("LEO", "GEO"):
-                raise ConfigError(f"tier must be LEO or GEO, got {tier_raw!r}",
-                                  section, "tier")
-            tier = geom.Tier[tier_raw]
-            default_alt = geom.GEO_ALTITUDE if tier is geom.Tier.GEO else None
-            altitude = _get(parser, section, "altitude_m", _real(),
-                            default=default_alt,
-                            required=tier is geom.Tier.LEO)
-            sat = _node(section, lambda: geom.Satellite(
-                    id=node_id,
-                    tier=tier,
-                    altitude=altitude,
-                    aperture_radius=_get(parser, section, "aperture_radius_m",
-                                         _real(0, strict=True), required=True),
-                    inclination=math.radians(_get(parser, section,
-                                                  "inclination_deg", _real(),
-                                                  default=0.0)),
-                    raan=math.radians(_get(parser, section, "raan_deg", _real(),
-                                           default=0.0)),
-                    phase_at_epoch=math.radians(_get(parser, section,
-                                                     "phase_at_epoch_deg",
-                                                     _real(), default=0.0)),
-            ))
-            _register(seen_ids, node_id, section)
-            names[section.split(".", 1)[1]] = node_id
-            scenario.satellites.append(sat)
-        elif section not in ("scenario", "channel", "protocol"):
+            kwargs, = _read(parser, section, _SATELLITE)
+            if kwargs["tier"] is geom.Tier.GEO:
+                kwargs.setdefault("altitude", geom.GEO_ALTITUDE)
+            elif "altitude" not in kwargs:
+                raise ConfigError("missing required field", section,
+                                  "altitude_m")
+            node = _node(section, geom.Satellite, kwargs)
+            satellites.append(node)
+        elif section in ("scenario", "channel", "protocol"):
+            continue
+        else:
             raise ConfigError("unknown section", section)
+        if node.id in seen_ids:
+            raise ConfigError(f"duplicate id {node.id} (already used by "
+                              f"[{seen_ids[node.id]}])", section, "id")
+        seen_ids[node.id] = section
 
+    network, request = {}, None
     if parser.has_section("protocol"):
-        requester = _get(parser, "protocol", "requester", str, required=True).strip()
-        responder = _get(parser, "protocol", "responder", str, required=True).strip()
-        station_names = {n for n in names
-                         if any(s.id == names[n] for s in scenario.stations)}
-        for role, name in (("requester", requester), ("responder", responder)):
-            if name not in station_names:
+        request, policy, network = _read(parser, "protocol", _REQUEST,
+                                         _POLICY, _NETWORK)
+        for keyword, key in (("a_id", "requester"), ("b_id", "responder")):
+            name = request[keyword]
+            if name not in station_ids:
                 raise ConfigError(f"references undefined station {name!r}",
-                                  "protocol", role)
-        if requester == responder:
+                                  "protocol", key)
+            request[keyword] = station_ids[name]
+        if request["a_id"] == request["b_id"]:
             raise ConfigError("requester and responder must differ", "protocol")
-        scenario.protocol = ProtocolParams(
-            requester=names[requester],
-            responder=names[responder],
-            qubits=_get(parser, "protocol", "qubits", _int(1), required=True),
-            pairs_target=_get(parser, "protocol", "pairs_target", _int(1),
-                              required=True),
-            policy=DistillationPolicy(
-                rounds=_get(parser, "protocol", "distill_rounds", _int(1),
-                            default=1),
-                yield_rate=_get(parser, "protocol", "yield_rate", _real(0, 1),
-                                default=None),
-                yield_samples=_get(parser, "protocol", "yield_samples", _int(1),
-                                   default=100_000),
-            ),
-            batch_size=_get(parser, "protocol", "batch_size", _int(1),
-                            default=None),
-            source_rate_hz=_get(parser, "protocol", "source_rate_hz",
-                                _real(0, strict=True), default=1e6),
-            min_raw_pairs=_get(parser, "protocol", "min_raw_pairs", _int(0),
-                               default=1),
-        )
+        request["policy"] = DistillationPolicy(**policy)
 
-    if not scenario.stations:
+    if not stations:
         raise ConfigError("no [station.*] sections defined")
-    return scenario
+    return Scenario(stations=stations, satellites=satellites, network=network,
+                    request=request, **settings)
 
 
-def _node(section: str, build):
-    """build(), with a ValueError from the node's own range checks reported
-    against its section; a field's ConfigError passes through as it is."""
+def _node(section: str, cls, kwargs: dict):
+    """cls(**kwargs), with a ValueError from the node's own range checks
+    reported against its section."""
     try:
-        return build()
-    except ConfigError:
-        raise
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc), section) from exc
-
-
-def _register(seen_ids: dict, node_id: int, section: str) -> None:
-    if node_id in seen_ids:
-        raise ConfigError(
-            f"duplicate id {node_id} (already used by [{seen_ids[node_id]}])",
-            section, "id")
-    seen_ids[node_id] = section
 
 
 def run_scenario(scenario: Scenario, trace_sink=None):
@@ -290,20 +290,16 @@ def run_scenario(scenario: Scenario, trace_sink=None):
     Returns (network, summary dict).
     """
     engine = Engine(seed=scenario.seed)
-    p = scenario.protocol
     network = Network(
         engine, scenario.stations, scenario.satellites,
         wavelength=scenario.wavelength,
         downlink_b=scenario.downlink_b,
         min_elevation=scenario.min_elevation,
         earth_rotation=scenario.earth_rotation,
-        batch_size=p.batch_size if p else None,
-        source_rate_hz=p.source_rate_hz if p else 1e6,
-        min_raw_pairs=p.min_raw_pairs if p else 1,
         trace_sink=trace_sink,
+        **scenario.network,
     )
-    if p is not None:
-        network.request(p.requester, p.responder, p.qubits, p.pairs_target,
-                        policy=p.policy, t=0.0)
+    if scenario.request is not None:
+        network.request(**scenario.request, t=0.0)
     engine.run_until(scenario.t_end)
     return network, network.summary()

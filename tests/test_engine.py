@@ -219,14 +219,15 @@ def test_engine_trace_determinism():
         eng = Engine(seed=seed)
         log = []
 
-        def step(ev):
-            draw = eng.stream("step", ev.payload["k"]).random()
-            log.append((eng.now, ev.kind, draw))
-            if ev.payload["k"] < 20:
-                eng.schedule(eng.now + draw, "step", step,
-                             {"k": ev.payload["k"] + 1})
+        def step(k):
+            def handler(ev):
+                draw = eng.stream("step", k).random()
+                log.append((eng.now, ev.kind, draw))
+                if k < 20:
+                    eng.schedule(eng.now + draw, "step", step(k + 1))
+            return handler
 
-        eng.schedule(0.0, "step", step, {"k": 0})
+        eng.schedule(0.0, "step", step(0))
         eng.run_until(100.0)
         return log
 

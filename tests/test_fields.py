@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from qsatnet import channel as ch
 from qsatnet import geom
-from qsatnet.engine import Engine
+from qsatnet.engine import Engine, make_stream
 from qsatnet.proto import DistillationPolicy, EbitPool, Network
 from qsatnet.scenario import ConfigError, load_scenario
 from test_scenario import MINIMAL, with_field
@@ -81,6 +81,10 @@ def pool(**fields):
     return EbitPool(**{"coherence_time": 1.0, "capacity": 10, **fields})
 
 
+def stream(seed):
+    return make_stream(seed, "fields")
+
+
 def network(**fields):
     return Network(Engine(1), [station(id=1), station(id=2, longitude=0.07)],
                    [leo(id=201)], **fields)
@@ -91,7 +95,12 @@ OFF_GEO = st.one_of(NONFINITE,
                     st.floats(max_value=geom.GEO_ALTITUDE * (1 - 1e-8)),
                     st.floats(min_value=geom.GEO_ALTITUDE * (1 + 1e-8)))
 
+# Root seeds outside [0, 2**64) would alias seeds inside
+BAD_SEEDS = st.one_of(bad_counts(), st.integers(min_value=2**64))
+
 CONSTRUCTORS = [
+    (Engine, "seed", BAD_SEEDS),
+    (stream, "seed", BAD_SEEDS),
     (station, "id", bad_counts()),
     (station, "latitude", bad_reals(-HALF_PI, HALF_PI)),
     (station, "longitude", bad_reals()),

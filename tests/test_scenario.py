@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from qsatnet import geom
+from qsatnet import cli, geom, scenario
+from qsatnet.engine import Engine
+from qsatnet.proto import DistillationPolicy, Network
 from qsatnet.scenario import ConfigError, load_scenario, run_scenario
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "example.ini"
@@ -79,7 +81,7 @@ class TestLoading:
         assert sc.seed == 42
         assert len(sc.stations) == 2
         assert len(sc.satellites) == 5
-        assert sc.protocol.qubits == 50
+        assert sc.request["qubits"] == 50
         assert sc.min_elevation == pytest.approx(math.radians(10.0))
 
     def test_minimal_scenario(self, tmp_path):
@@ -193,6 +195,57 @@ class TestValidation:
         body = with_field(MINIMAL, section, field, value)
         with pytest.raises(ConfigError, match=re.escape(f"[{section}] {field}:")):
             load_scenario(write_scenario(tmp_path, body))
+
+
+class TestKeyTables:
+    @pytest.mark.parametrize("section, key", [
+        ("scenario", "sead"), ("channel", "downlink"),
+        ("station.alice", "memory_capacty"), ("satellite.leo1", "inclination"),
+        ("protocol", "source_rate")])
+    def test_misspelled_key_exits_2(self, tmp_path, capsys, section, key):
+        path = write_scenario(tmp_path, with_field(MINIMAL, section, key, "5"))
+        out = str(tmp_path / "trace.jsonl")
+        assert cli.main(["run", path, "--output", out]) == 2
+        assert f"[{section}] {key}: unknown key" in capsys.readouterr().err
+
+    def test_default_section_key_rejected(self, tmp_path):
+        # configparser copies [DEFAULT] keys into every section
+        body = "[DEFAULT]\nmemory_capacity = 3\n" + MINIMAL
+        with pytest.raises(ConfigError, match=r"^\[scenario\] memory_capacity: "
+                                              r"unknown key$"):
+            load_scenario(write_scenario(tmp_path, body))
+
+    def test_percent_sign_is_plain_text(self, tmp_path):
+        body = MINIMAL.replace("qubits = 5", "qubits = 5%")
+        with pytest.raises(ConfigError, match=r"^\[protocol\] qubits: "
+                                              r"bad value '5%'"):
+            load_scenario(write_scenario(tmp_path, body))
+
+    def test_absent_keys_take_constructor_defaults(self, tmp_path):
+        sc = load_scenario(write_scenario(tmp_path, MINIMAL))
+        network, _ = run_scenario(sc)
+        bare = Network(Engine(), sc.stations, sc.satellites)
+        for name in ("batch_size", "source_rate_hz", "min_raw_pairs",
+                     "wavelength", "downlink_b", "min_elevation",
+                     "earth_rotation"):
+            assert getattr(network, name) == getattr(bare, name)
+        assert network.stations[1] == geom.GroundStation(1, 0.0, 0.0, 1.25)
+        assert network.satellites[201] == geom.Satellite(
+            201, geom.Tier.LEO, 1200e3, 0.2,
+            phase_at_epoch=math.radians(2.0))
+        assert network.sessions[1].policy == DistillationPolicy()
+
+    def test_docstring_layout_loads(self, tmp_path):
+        # the layout block with every optional key uncommented
+        block = [line[4:] for line in scenario.__doc__.splitlines()
+                 if line.startswith("    ")]
+        body = "\n".join(re.sub(r"^# (\w+ = )", r"\1", line)
+                         for line in block)
+        sc = load_scenario(write_scenario(tmp_path, body))
+        assert sc.seed == 42
+        assert sc.stations[0].memory_capacity == 5000
+        assert sc.request["policy"].rounds == 2
+        assert sc.network["min_raw_pairs"] == 10
 
 
 class TestRunScenario:
