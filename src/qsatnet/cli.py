@@ -27,7 +27,8 @@ import numpy as np
 from . import channel as ch
 from . import packet as pk
 from . import rates
-from .engine import SEED_MAX, check_count, check_real, make_stream
+from .engine import (DEFAULT_SEED, SEED_MAX, check_count, check_real,
+                     make_stream)
 from .scenario import load_scenario, run_scenario
 
 EXIT_OK = 0
@@ -67,9 +68,11 @@ def _check_flags(args, positive=(), nonnegative=()) -> None:
 
 
 def _seed(args) -> int:
-    """--seed, or 0 when it is unset; a root seed is in [0, 2**64)."""
-    return 0 if args.seed is None else check_count(args.seed, "--seed", 0,
-                                                   SEED_MAX)
+    """--seed, or DEFAULT_SEED when it is unset; a root seed is in
+    [0, 2**64)."""
+    if args.seed is None:
+        return DEFAULT_SEED
+    return check_count(args.seed, "--seed", 0, SEED_MAX)
 
 
 def _read_input(path: Optional[str]) -> bytes:
@@ -130,8 +133,7 @@ def _cmd_rates_sweep(args) -> int:
         _check_flags(args, ("distance", "wavelength", "samples"), ("b",))
         surface = rates.sweep(waists, rx_radii, args.distance, args.b,
                               wavelength=args.wavelength, n_samples=args.samples,
-                              seed=_seed(args),
-                              parallel=args.parallel)
+                              seed=_seed(args))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="mean-rate surface over an aperture grid")
     p_sweep.add_argument("--distance", type=float, required=True,
                          help="link distance [m]")
-    p_sweep.add_argument("--b", type=float, default=0.1,
+    p_sweep.add_argument("--b", type=float, default=ch.DEFAULT_DOWNLINK_B,
                          help="downlink deviation parameter")
     p_sweep.add_argument("--waist-grid", default=DEFAULT_WAIST_GRID,
                          help="tx waist radii [m]: lo:hi:count or v1,v2,...")
@@ -280,9 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--samples", type=int, default=100_000,
                          help="Monte-Carlo draws per grid point")
     p_sweep.add_argument("--wavelength", type=float, default=ch.DEFAULT_WAVELENGTH)
-    p_sweep.add_argument("--parallel", action="store_true",
-                         help="evaluate grid points on a thread pool "
-                              "(bit-identical to serial)")
     add_common(p_sweep)
     p_sweep.set_defaults(func=_cmd_rates_sweep)
 
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chan.add_argument("--wavelength", type=float, default=ch.DEFAULT_WAVELENGTH)
     p_chan.add_argument("--eta0", type=float, default=0.3,
                         help="downlink model: diffraction-floor transmittance")
-    p_chan.add_argument("--b", type=float, default=0.1,
+    p_chan.add_argument("--b", type=float, default=ch.DEFAULT_DOWNLINK_B,
                         help="downlink model: deviation parameter")
     p_chan.add_argument("--eta-diffraction", type=float, default=0.036,
                         help="uplink model: diffraction-only transmittance")

@@ -37,8 +37,9 @@ DRAW_CHUNK = 16384
 
 # Root seeds are unsigned 64-bit: each seed in [0, SEED_MAX] keys its own
 # streams, and a seed outside would alias one inside, so Engine and
-# make_stream reject it.
+# make_stream reject it.  DEFAULT_SEED is the root seed when none is given.
 SEED_MAX = 2**64 - 1
+DEFAULT_SEED = 0
 
 
 class EngineError(RuntimeError):
@@ -185,7 +186,7 @@ class Event:
 class Engine:
     """Single-threaded event loop; dequeue order is (time, seq) lexicographic."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = DEFAULT_SEED):
         self.seed = check_count(seed, "seed", 0, SEED_MAX)
         self._now = 0.0
         self._queue: list[tuple[float, int, Event]] = []

@@ -4,31 +4,32 @@ The per-use rate of a pure-loss channel with transmittance eta is
 -log2(1 - eta), an achievable distillation rate with loss as the only noise
 process.  Channel models with random loss are averaged by Monte Carlo with
 per-grid-point substreams, so every surface is reproducible bit-for-bit for
-a given seed, serial or parallel.  Every fading mean is a chunked_mean: it
-draws and maps to rates DRAW_CHUNK values at a time, so one chunk's
-temporaries stay in a core's cache, and then sums the whole buffer of rates
-at once: the streams are counter-based, so the mean is the one an unchunked
-draw would give.
-A parallel sweep runs its grid points on at most SWEEP_THREADS threads and
-never more than the CPUs the process may use.
+a given seed.  Every fading mean is a chunked_mean: it draws and maps to
+rates DRAW_CHUNK values at a time, so one chunk's temporaries stay in a
+core's cache, and then sums the whole buffer of rates at once: the streams
+are counter-based, so the mean is the one an unchunked draw would give.
+A sweep splits its grid points over at most SWEEP_THREADS threads and never
+more than the CPUs the process may use; the surface does not depend on how
+many.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import channel as ch
-from .engine import DRAW_CHUNK, RngStream, check_count, make_stream
+from .engine import (DEFAULT_SEED, DRAW_CHUNK, RngStream, check_count,
+                     make_stream)
 
 LN2 = math.log(2.0)
 RATE_SATURATION = 60.0   # cap as eta -> 1, i.e. for eta above 1 - 2**-60
-SWEEP_THREADS = 4        # most threads a parallel sweep uses
+SWEEP_THREADS = 4        # most threads a sweep uses
 
 
 def rci_array(eta) -> np.ndarray:
@@ -130,28 +131,43 @@ def _sweep_threads() -> int:
 
 def sweep(tx_waists: Sequence[float], rx_radii: Sequence[float], distance: float,
           b: float, wavelength: float = ch.DEFAULT_WAVELENGTH,
-          n_samples: int = 100_000, seed: int = 0,
-          parallel: bool = False) -> RateSurface:
+          n_samples: int = 100_000, seed: int = DEFAULT_SEED) -> RateSurface:
     """Mean-rate surface over the aperture grid.
 
-    Each grid point draws from an independent substream keyed by (i, j), so
-    the surface is identical for serial and parallel evaluation.
+    The grid points, in row-major order, are dealt round-robin into
+    n = min(_sweep_threads(), points) shares: the calling thread computes
+    share 0 and one thread each of the others.  Each grid point draws from
+    an independent substream keyed by (i, j) and writes only its own cell,
+    so the surface is identical for any n.  A share stops at its first
+    failing point; once every thread is joined, the failure with the
+    smallest grid index is raised, the one a point-by-point loop would raise.
     """
     if len(tx_waists) == 0 or len(rx_radii) == 0:
         raise ValueError("grid axes must be non-empty")
     rates = np.zeros((len(tx_waists), len(rx_radii)))
-    jobs = [(i, j) for i in range(len(tx_waists)) for j in range(len(rx_radii))]
+    n = min(_sweep_threads(), rates.size)
+    failures = []               # (grid index, exception), one per share
 
-    def compute(ij):
-        i, j = ij
-        return _point_rate(tx_waists[i], rx_radii[j], distance, b,
-                           wavelength, n_samples, seed, i, j)
+    def compute_share(k):
+        for point in range(k, rates.size, n):
+            i, j = divmod(point, len(rx_radii))
+            try:
+                rates[i, j] = _point_rate(tx_waists[i], rx_radii[j], distance,
+                                          b, wavelength, n_samples, seed, i, j)
+            except Exception as exc:
+                failures.append((point, exc))
+                return
 
-    if parallel:
-        with ThreadPoolExecutor(max_workers=_sweep_threads()) as pool:
-            for (i, j), value in zip(jobs, pool.map(compute, jobs)):
-                rates[i, j] = value
-    else:
-        for i, j in jobs:
-            rates[i, j] = compute((i, j))
+    threads = []
+    try:
+        for k in range(1, n):
+            thread = threading.Thread(target=compute_share, args=(k,))
+            thread.start()
+            threads.append(thread)
+        compute_share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise min(failures)[1]      # grid indices are distinct
     return RateSurface(tuple(tx_waists), tuple(rx_radii), distance, b, rates)

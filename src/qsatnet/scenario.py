@@ -68,7 +68,7 @@ from typing import Optional
 from . import channel as ch
 from . import geom
 from .proto import DistillationPolicy, Network
-from .engine import SEED_MAX, Engine, check_count, check_real
+from .engine import DEFAULT_SEED, SEED_MAX, Engine, check_count, check_real
 
 
 class ConfigError(ValueError):
@@ -89,7 +89,7 @@ class Scenario:
     t_end: float
     stations: list
     satellites: list
-    seed: int = 0
+    seed: int = DEFAULT_SEED
     earth_rotation: bool = False
     min_elevation: float = geom.DEFAULT_MIN_ELEVATION
     wavelength: float = ch.DEFAULT_WAVELENGTH

@@ -139,7 +139,7 @@ def test_criterion_5_protocol_conservation_and_safety():
            f"{elapsed:.1f}s")
 
 
-def test_criterion_6_cli_determinism(tmp_path):
+def test_criterion_6_cli_determinism(tmp_path, monkeypatch):
     """Every subcommand yields byte-identical output on rerun with a fixed
     seed; parallel and serial sweeps agree byte for byte."""
     pkt_json = tmp_path / "p.json"
@@ -176,8 +176,9 @@ def test_criterion_6_cli_determinism(tmp_path):
     sweep_args = ["rates-sweep", "--distance", "3.6e7", "--b", "0.1",
                   "--waist-grid", "0.1:1.0:4", "--rx-grid", "0.125:1.25:4",
                   "--samples", "10000", "--seed", "42"]
+    cli_main(sweep_args + ["--output", str(parallel)])    # every usable CPU
+    monkeypatch.setattr(rates, "SWEEP_THREADS", 1)
     cli_main(sweep_args + ["--output", str(serial)])
-    cli_main(sweep_args + ["--parallel", "--output", str(parallel)])
     ok &= serial.read_bytes() == parallel.read_bytes()
     report("criterion 6: CLI determinism", ok,
            "all subcommands byte-identical, parallel == serial")

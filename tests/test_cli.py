@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qsatnet import rates
 from qsatnet.cli import main
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "scenarios" / "example.ini")
@@ -162,13 +163,15 @@ class TestRatesSweep:
         run_cli(args + ["--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        # parallel: every usable CPU, up to SWEEP_THREADS; serial: one thread
         args = ["rates-sweep", "--distance", "1200e3", "--b", "0.1",
                 "--waist-grid", "0.1:1.0:4", "--rx-grid", "0.2:1.0:4",
                 "--samples", "5000", "--seed", "9"]
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        run_cli(args + ["--output", str(serial)])
-        run_cli(args + ["--parallel", "--output", str(parallel)])
+        assert run_cli(args + ["--output", str(parallel)]) == 0
+        monkeypatch.setattr(rates, "SWEEP_THREADS", 1)
+        assert run_cli(args + ["--output", str(serial)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
     # default 10x10 grids at seed 7; sample counts around the Monte-Carlo
@@ -270,6 +273,40 @@ class TestRatesSweep:
                         "0.1,1e300", "--rx-grid", "0.2", "--samples", "3",
                         "--output", str(out)]) == 2
         assert "config error: w0=1e+300 " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_first_failing_point_in_grid_order_exits_2(self, tmp_path, capsys,
+                                                       monkeypatch, threads):
+        # (0, 1) fails on rx_radius and (1, 0) on w0, in different shares
+        # once there are 2 or more threads; the error names (0, 1)
+        monkeypatch.setattr(rates, "_sweep_threads", lambda: threads)
+        out = tmp_path / "never.csv"
+        assert run_cli(["rates-sweep", "--distance", "1e6", "--waist-grid",
+                        "0.1,1e300", "--rx-grid", "0.5,1e300", "--samples",
+                        "3", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: rx_radius=1e+300 ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_out_of_memory_at_one_point_exits_3(self, tmp_path, capsys,
+                                                monkeypatch, threads):
+        point_rate = rates._point_rate
+
+        def failing(*args):
+            if args[-2:] == (1, 1):
+                raise MemoryError("grid point (1, 1)")
+            return point_rate(*args)
+
+        monkeypatch.setattr(rates, "_sweep_threads", lambda: threads)
+        monkeypatch.setattr(rates, "_point_rate", failing)
+        out = tmp_path / "never.csv"
+        assert run_cli(["rates-sweep", "--distance", "1e6", "--waist-grid",
+                        "0.1,0.2", "--rx-grid", "0.5,1.0", "--samples", "3",
+                        "--output", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "runtime failure: out of memory: grid point (1, 1)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("grids", [
@@ -590,6 +627,7 @@ class TestOutput:
 
     @pytest.mark.parametrize("argv", [
         ["run", EXAMPLE, "--format", "jsonl"],
+        ["rates-sweep", "--distance", "1e6", "--parallel"],
         ["packet", "encode", "--seed", "1"],
         ["packet", "encode", "--format", "csv"],
         ["packet", "decode", "--seed", "1"],
@@ -599,3 +637,17 @@ class TestOutput:
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2
+
+
+def test_imports_leave_out_logging_and_futures():
+    # concurrent.futures imports logging, which adds to every command's
+    # peak memory once numpy is loaded
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qsatnet.cli, qsatnet.proto, qsatnet.packet; "
+         "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -194,13 +197,63 @@ class TestSweep:
         far = rates.sweep(waists, rx, 3.6e7, 0.1, n_samples=5000, seed=9)
         assert np.all(near.mean_rates >= far.mean_rates)
 
-    def test_parallel_bit_identical_to_serial(self):
+    def test_parallel_bit_identical_to_serial(self, monkeypatch):
+        # parallel: every usable CPU, up to SWEEP_THREADS; serial: one thread
         waists = list(np.linspace(0.1, 1.0, 4))
         rx = list(np.linspace(0.125, 1.25, 4))
+        parallel = rates.sweep(waists, rx, 1200e3, 0.1, n_samples=10_000, seed=5)
+        monkeypatch.setattr(rates, "SWEEP_THREADS", 1)
         serial = rates.sweep(waists, rx, 1200e3, 0.1, n_samples=10_000, seed=5)
-        parallel = rates.sweep(waists, rx, 1200e3, 0.1, n_samples=10_000, seed=5,
-                               parallel=True)
         assert np.array_equal(serial.mean_rates, parallel.mean_rates)
+
+    # 9 points on 1 to 4 threads: shares of 9, 5+4, 3+3+3 and 3+2+2+2
+    # points; and more threads than points
+    @pytest.mark.parametrize("threads, waists, rx", [
+        (1, [0.1, 0.4, 0.8], [0.2, 0.6, 1.2]),
+        (2, [0.1, 0.4, 0.8], [0.2, 0.6, 1.2]),
+        (3, [0.1, 0.4, 0.8], [0.2, 0.6, 1.2]),
+        (4, [0.1, 0.4, 0.8], [0.2, 0.6, 1.2]),
+        (4, [0.3], [0.7]),
+    ])
+    def test_matches_point_by_point_reference(self, monkeypatch, threads,
+                                              waists, rx):
+        monkeypatch.setattr(rates, "_sweep_threads", lambda: threads)
+        distance, b, n, seed = 1200e3, 0.1, 3000, 11
+        # threads switch every microsecond, so a lost or misplaced write
+        # from an interleaving would show in the cells
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            surface = rates.sweep(waists, rx, distance, b, n_samples=n,
+                                  seed=seed)
+        finally:
+            sys.setswitchinterval(interval)
+        reference = np.array([[rates.mean_rate(
+            ch.DownlinkGaussianTail(ch.diffraction_transmittance(
+                ch.BeamParams(w, ch.DEFAULT_WAVELENGTH), r, distance), b),
+            n, make_stream(seed, "rates", "sweep", i, j))
+            for j, r in enumerate(rx)] for i, w in enumerate(waists)])
+        assert np.array_equal(surface.mean_rates, reference)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_thread_outlives_sweep(self, monkeypatch, fails):
+        # the calling thread's one point returns at once, the others late
+        point_rate = rates._point_rate
+
+        def slow(*args):
+            if args[-2:] != (0, 0):
+                time.sleep(0.05)
+            return point_rate(*args)
+
+        monkeypatch.setattr(rates, "_sweep_threads", lambda: 4)
+        monkeypatch.setattr(rates, "_point_rate", slow)
+        before = threading.active_count()
+        if fails:
+            with pytest.raises(ValueError):
+                rates.sweep([0.1, 0.2], [0.5, 1e300], 1e6, 0.1, n_samples=3)
+        else:
+            rates.sweep([0.1, 0.2], [0.5, 1.0], 1e6, 0.1, n_samples=3)
+        assert threading.active_count() == before
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -213,8 +266,10 @@ class TestSweep:
         (math.inf, 1200e3, "rx_radius"), (math.nan, 1200e3, "rx_radius"),
     ])
     @pytest.mark.parametrize("parallel", [False, True])
-    def test_nonfinite_budget_rejected(self, rx, distance, field, parallel):
+    def test_nonfinite_budget_rejected(self, monkeypatch, rx, distance, field,
+                                       parallel):
         # an infinite distance used to give an all-zero surface, silently
+        if not parallel:
+            monkeypatch.setattr(rates, "SWEEP_THREADS", 1)
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            rates.sweep([0.1], [rx], distance, 0.1, n_samples=10,
-                        parallel=parallel)
+            rates.sweep([0.1, 0.2], [rx], distance, 0.1, n_samples=10)
