@@ -29,6 +29,7 @@ from . import packet as pk
 from . import rates
 from .engine import (DEFAULT_SEED, SEED_MAX, check_count, check_real,
                      make_stream)
+from .proto import trace_line
 from .scenario import load_scenario, run_scenario
 
 EXIT_OK = 0
@@ -114,7 +115,7 @@ def _cmd_run(args) -> int:
     with _output(args.output) as out:
         try:
             network, summary = run_scenario(
-                scenario, trace_sink=lambda r: out.write(_jsonl(r)))
+                scenario, trace_sink=lambda r: out.write(trace_line(r)))
             out.write(_jsonl({"summary": summary}))
         except BrokenPipeError:
             raise                       # main reports a closed stdout

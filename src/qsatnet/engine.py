@@ -48,12 +48,12 @@ class EngineError(RuntimeError):
 
 def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf,
                strict: bool = False):
-    """value if it is finite and in [lo, hi], or in (lo, hi] when strict;
-    else a ValueError naming the field.  Every real field, argument, flag
-    and scenario value of the package is checked here."""
+    """value as a float if it is finite and in [lo, hi], or in (lo, hi]
+    when strict; else a ValueError naming the field.  Every real field,
+    argument, flag and scenario value of the package is checked here."""
     if (math.isfinite(value) and (value > lo if strict else value >= lo)
             and value <= hi):
-        return value
+        return float(value)
     if hi < math.inf:
         bound = f" and in {'(' if strict else '['}{lo:g}, {hi:g}]"
     else:

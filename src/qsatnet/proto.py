@@ -19,13 +19,15 @@ coherence time is never consumed.
 
 Every step appends one JSON-friendly record to the trace:
 {"t": float, "session_id": int, "event": str, "payload": {...}}.
-Event names and payload keys are stable: request_sent, request_received,
-leo_selected, leo_command_sent, leo_command_received, state_changed,
-batch_emitted, pairs_deposited, link_lost, distill_started,
-distill_completed, teleport_started, teleport_completed, session_done,
-session_failed.  Message payloads carry send_t/arrive_t so a replay can
-verify causality; deposit/distill/teleport payloads carry pair ids and
-timestamps so a replay can audit conservation and expiry.
+TRACE_SCHEMA is the one statement of the event names and their payload
+keys; each value is exactly its type there: float, int (never a bool), a
+list of int pair ids, or str.  Message payloads carry send_t/arrive_t so a
+replay can verify causality; deposit/distill/teleport payloads carry pair
+ids and timestamps so a replay can audit conservation and expiry.
+trace_line writes a record as one JSON line from a % template per event
+kind, built once from the table: the same bytes as json.dumps with sorted
+keys and compact separators, without an encoder, a key sort or a type
+dispatch per record.
 
 Distribution is planned ahead in chunks.  When a session's batch event
 finds no planned batch left, Network._plan plans the next chunk: as many
@@ -58,7 +60,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -95,6 +99,119 @@ class Failure:
     NO_SATELLITE = "NoSatellite"
     LINK_LOST = "LinkLost"
     INSUFFICIENT_ENTANGLEMENT = "InsufficientEntanglement"
+
+
+ID_LIST = list[int]
+
+# The trace schema: each event's payload keys, in sorted order, with the
+# exact type of each value.  ID_LIST is a list of pair ids.
+TRACE_SCHEMA: dict[str, dict[str, type]] = {
+    "state_changed": {"from": str, "to": str},
+    "request_sent": {"arrive_t": float, "from": int, "geo": int,
+                     "pairs_target": int, "qubits": int, "send_t": float,
+                     "to": int},
+    "request_received": {"geo": int},
+    "leo_selected": {"leo": int},
+    "leo_command_sent": {"arrive_t": float, "geo": int, "leo": int,
+                         "send_t": float},
+    "leo_command_received": {"leo": int},
+    "batch_emitted": {"arrival_t": float, "attempted": int, "b": float,
+                      "emit_t": float, "eta0_a": float, "eta0_b": float,
+                      "leo": int, "slant_a_m": float, "slant_b_m": float,
+                      "survivors": int},
+    "pairs_deposited": {"count": int, "created_at": float, "dropped": int,
+                        "pair_ids": ID_LIST},
+    "link_lost": {"emitted_survivors": int, "leo": int, "remaining": int},
+    "distill_started": {"completion_t": float, "raw_count": int,
+                        "rounds": int, "rtt_s": float},
+    "distill_completed": {"completion_t": float, "distilled": int,
+                          "distilled_ids": ID_LIST, "n_valid": int,
+                          "raw_consumed_ids": ID_LIST, "yield_rate": float},
+    "teleport_started": {"requested": int},
+    "teleport_completed": {"classical_bits": int, "consume_t": float,
+                           "consumed_pair_ids": ID_LIST, "delivered": int,
+                           "delivery_t": float, "requested": int},
+    "session_done": {"classical_bits": int, "qubits_delivered": int},
+    "session_failed": {"reason": str},
+}
+
+
+def _json_float(x: float) -> str:
+    """x as json.dumps writes it: float.__repr__, or Infinity, -Infinity
+    and NaN."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _id_text(ids: Sequence[int]) -> str:
+    return ",".join(map(str, ids))
+
+
+def _getter(positions: list) -> Callable:
+    """A callable giving the items at positions as a tuple, even for one."""
+    if len(positions) == 1:
+        return lambda items, k=positions[0]: (items[k],)
+    return itemgetter(*positions)
+
+
+class _LineFormat(NamedTuple):
+    """One event kind's trace line: a % template filled with the payload
+    values in key order, then session_id and t."""
+    template: str
+    size: int                   # the number of payload keys
+    values: Callable            # payload -> its values in key order
+    texts: tuple                # (position, formatter) of id lists and str
+    floats: tuple               # positions of the floats, t last
+    float_values: Callable      # filled values -> their floats
+
+
+def _line_format(event: str, fields: dict) -> _LineFormat:
+    # event names and keys are lowercase identifiers: json writes them as is
+    slot = {float: "%s", int: "%d", str: "%s", ID_LIST: "[%s]"}
+    payload = ",".join(f'"{name}":{slot[typ]}' for name, typ in fields.items())
+    template = (f'{{"event":"{event}","payload":{{{payload}}},'
+                f'"session_id":%d,"t":%s}}\n')
+    types = list(fields.values())
+    texts = tuple((i, _id_text if typ is ID_LIST else _json_str)
+                  for i, typ in enumerate(types) if typ in (ID_LIST, str))
+    floats = [i for i, typ in enumerate(types) if typ is float]
+    floats.append(len(types) + 1)
+    return _LineFormat(template, len(types), _getter(list(fields)), texts,
+                       tuple(floats), _getter(floats))
+
+
+_LINE_FORMATS = {event: _line_format(event, fields)
+                 for event, fields in TRACE_SCHEMA.items()}
+
+
+def trace_line(record: dict) -> str:
+    """record as one JSON line, byte for byte what
+    json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" writes,
+    for a record whose payload values are exactly their TRACE_SCHEMA types
+    (an id list may be any sequence of ints).
+
+    A payload with other keys than its schema raises KeyError or
+    ValueError."""
+    template, size, values_of, texts, floats, float_values = \
+        _LINE_FORMATS[record["event"]]
+    payload = record["payload"]
+    if len(payload) != size:
+        raise ValueError(f"{record['event']} payload keys {sorted(payload)} "
+                         f"are not its TRACE_SCHEMA keys")
+    values = (*values_of(payload), record["session_id"], record["t"])
+    if texts:
+        values = list(values)
+        for i, text in texts:
+            values[i] = text(values[i])
+        values = tuple(values)
+    if not all(map(math.isfinite, float_values(values))):
+        # json spells a non-finite float Infinity, -Infinity or NaN
+        values = list(values)
+        for i in floats:
+            values[i] = _json_float(values[i])
+        values = tuple(values)
+    return template % values
 
 
 class EbitPool:
@@ -179,7 +296,9 @@ class DistillationPolicy:
     def __post_init__(self):
         check_count(self.rounds, "rounds", 1)
         if self.yield_rate is not None:
-            check_real(self.yield_rate, "yield_rate", 0.0, 1.0)
+            # stored as a float, the type TRACE_SCHEMA gives it
+            rate = check_real(self.yield_rate, "yield_rate", 0.0, 1.0)
+            object.__setattr__(self, "yield_rate", rate)
         check_count(self.yield_samples, "yield_samples", 1)
 
 

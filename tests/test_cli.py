@@ -610,20 +610,40 @@ class TestOutput:
         assert run_cli(["packet", "decode", "--raw", "--input", str(raw)]) == 0
         assert json.loads(capsys.readouterr().out)["transmit_time_ns"] == 5
 
+    @staticmethod
+    def closed_after_first_line(argv):
+        """Run the CLI on argv with its stdout a pipe the reader closes after
+        the first line; the first line, the exit code and stderr."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        with subprocess.Popen([sys.executable, "-m", "qsatnet.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            return first, code, proc.stderr.read()
+
     def test_closed_stdout_exits_3(self):
         # 200000 rows are far more than a pipe buffer holds, so the writer
         # is still writing when the reader closes the pipe
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "qsatnet.cli", "channel-sample", "--model",
-             "downlink", "--n", "200000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        assert proc.stdout.readline() == b"t,eta,loss_db\n"
-        proc.stdout.close()
-        assert proc.wait(timeout=60) == 3
-        assert proc.stderr.read() == (b"runtime failure: output closed: "
-                                      b"[Errno 32] Broken pipe\n")
+        first, code, err = self.closed_after_first_line(
+            ["channel-sample", "--model", "downlink", "--n", "200000"])
+        assert first == b"t,eta,loss_db\n"
+        assert code == 3
+        assert err == b"runtime failure: output closed: [Errno 32] Broken pipe\n"
+
+    def test_closed_stdout_on_run_exits_3(self, tmp_path):
+        # 1600 batches write about 840 KB of trace, far more than a pipe
+        # buffer holds, so trace writes are still going when the pipe closes
+        scenario = tmp_path / "batched.ini"
+        scenario.write_text(re.sub(r"^pairs_target = .*$",
+                                   "pairs_target = 160000\nbatch_size = 100",
+                                   Path(EXAMPLE).read_text(), flags=re.M))
+        first, code, err = self.closed_after_first_line(["run", str(scenario)])
+        assert json.loads(first)["event"] == "state_changed"
+        assert code == 3
+        assert err == b"runtime failure: output closed: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize("argv", [
         ["run", EXAMPLE, "--format", "jsonl"],
