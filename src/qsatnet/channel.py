@@ -162,9 +162,15 @@ def sample_downlink(model: DownlinkGaussianTail, rng: RngStream,
     """
     if model.b == 0.0:
         return model.eta0 if n is None else np.full(int(n), model.eta0)
-    g = rng.standard_normal(n)
-    eta = model.eta0 * np.clip(1.0 - np.abs(g) * model.b, 0.0, 1.0)
-    return float(eta) if n is None else eta
+    # mapped in place over the normals this call owns; 1 - |G| b <= 1 for
+    # finite G, so clamping below at 0 is the whole clamp
+    eta = rng.standard_normal(1 if n is None else n)
+    np.abs(eta, out=eta)
+    eta *= model.b
+    np.subtract(1.0, eta, out=eta)
+    np.maximum(eta, 0.0, out=eta)
+    eta *= model.eta0
+    return float(eta[0]) if n is None else eta
 
 
 def fade_interval(model: UplinkPointingFade, t):

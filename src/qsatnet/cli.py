@@ -27,8 +27,8 @@ import numpy as np
 from . import channel as ch
 from . import packet as pk
 from . import rates
-from .engine import (DEFAULT_SEED, SEED_MAX, check_count, check_real,
-                     make_stream)
+from .engine import (COUNT_MAX, DEFAULT_SEED, SEED_MAX, check_count,
+                     check_real, make_stream)
 from .proto import trace_line
 from .scenario import load_scenario, run_scenario
 
@@ -49,7 +49,7 @@ def _parse_grid(spec: str, flag: str) -> list:
         if len(parts) != 3:
             raise ValueError(f"{flag} must be lo:hi:count, got {spec!r}")
         lo, hi = float(parts[0]), float(parts[1])
-        count = check_count(int(parts[2]), f"{flag} count", 1)
+        count = check_count(int(parts[2]), f"{flag} count", 1, COUNT_MAX)
         values = [lo] if count == 1 else list(np.linspace(lo, hi, count))
     else:
         values = [float(v) for v in spec.split(",") if v.strip()]
@@ -120,8 +120,8 @@ def _cmd_run(args) -> int:
         except BrokenPipeError:
             raise                       # main reports a closed stdout
         except Exception as exc:
-            if isinstance(exc.__cause__, BrokenPipeError):
-                raise exc.__cause__     # a trace write the engine wrapped
+            if isinstance(exc.__cause__, (BrokenPipeError, MemoryError)):
+                raise exc.__cause__     # main reports these, as for any command
             print(f"runtime failure: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
     return EXIT_OK
@@ -131,7 +131,8 @@ def _cmd_rates_sweep(args) -> int:
     try:
         waists = _parse_grid(args.waist_grid, "--waist-grid")
         rx_radii = _parse_grid(args.rx_grid, "--rx-grid")
-        _check_flags(args, ("distance", "wavelength", "samples"), ("b",))
+        _check_flags(args, ("distance", "wavelength"), ("b",))
+        check_count(args.samples, "--samples", 1, COUNT_MAX)
         surface = rates.sweep(waists, rx_radii, args.distance, args.b,
                               wavelength=args.wavelength, n_samples=args.samples,
                               seed=_seed(args))
@@ -173,7 +174,8 @@ def _build_channel_model(args):
 
 def _cmd_channel_sample(args) -> int:
     try:
-        _check_flags(args, ("n", "t_step", "fade_coherence", "wavelength",
+        check_count(args.n, "--n", 1, COUNT_MAX)
+        _check_flags(args, ("t_step", "fade_coherence", "wavelength",
                             "distance", "waist", "rx_radius", "beam_radius_rx"),
                      ("b", "sigma_wander", "calibrate_target_db"))
         if (args.model == "uplink" and args.t_step is not None

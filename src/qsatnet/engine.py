@@ -11,6 +11,14 @@ where key64 is the first 8 bytes of BLAKE2b over the tagged stream key.
 Uniforms map the top 53 bits to [0, 1); normals use the Box-Muller transform
 and consume two counter slots per value.  All integer arithmetic is modulo
 2**64, so streams are identical across platforms.
+
+The array draws are the kernel of every Monte-Carlo mean, so they are made
+with few numpy calls and few temporaries: a draw of normals mixes both
+Box-Muller slots in one pass over a (2, n) array, with one scratch array
+for the shifts, and runs the transform in place.  Each numpy call on a
+large array lets go of the GIL and must take it back, so the fewer calls a
+chunk makes, the less the threads of a sweep wait on each other.  The
+values are the same bytes the formula above gives step by step.
 """
 
 from __future__ import annotations
@@ -40,6 +48,13 @@ DRAW_CHUNK = 16384
 # make_stream reject it.  DEFAULT_SEED is the root seed when none is given.
 SEED_MAX = 2**64 - 1
 DEFAULT_SEED = 0
+
+# Counts of draws, samples, pairs, qubits and rounds are at most COUNT_MAX.
+# A (2, COUNT_MAX) uint64 draw buffer is 2**62 bytes, inside numpy's limit
+# of 2**63 - 1 bytes per array, so a count up to it either runs or raises
+# MemoryError, and one above it is rejected as a bad value; rounds * rtt
+# stays far inside the float range.
+COUNT_MAX = 2**58
 
 
 class EngineError(RuntimeError):
@@ -79,14 +94,33 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """``_mix64`` over a uint64 array, in place."""
-    x ^= x >> np.uint64(30)
+# Scales the two rows of 53-bit integers k to -u_even = -(k 2**-53) and the
+# angle 2 pi u_odd = k (2**-53 2 pi); multiplying by 2**-53 is exact, so each
+# row gets the one rounding that (k 2**-53) 2 pi and the negation give
+_NORMAL_SCALE = np.array([[-2.0**-53], [2.0**-53 * (2.0 * np.pi)]])
+
+
+def _mix64_array(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``_mix64`` over a uint64 array, in place; t is uint64 scratch of the
+    same shape, so no shift allocates a temporary."""
+    np.right_shift(x, np.uint64(30), out=t)
+    x ^= t
     x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, np.uint64(27), out=t)
+    x ^= t
     x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
     return x
+
+
+def _unit_mix(x: np.ndarray, scale) -> np.ndarray:
+    """The top 53 bits of mix64(x) times scale as a new float64 array; x
+    holds the mixed words afterwards."""
+    out = np.empty(x.shape)
+    _mix64_array(x, out.view(np.uint64))
+    x >>= np.uint64(11)
+    return np.multiply(x, scale, out=out)
 
 
 def derive_key(root_seed: int, parts: tuple) -> int:
@@ -110,7 +144,7 @@ def derive_key(root_seed: int, parts: tuple) -> int:
 
 def _count(n: Optional[int]) -> int:
     """Number of values a sequential draw returns (1 for a scalar draw)."""
-    return 1 if n is None else check_count(int(n), "draw count")
+    return 1 if n is None else check_count(int(n), "draw count", 0, COUNT_MAX)
 
 
 class RngStream:
@@ -127,13 +161,15 @@ class RngStream:
         self.key = key & _MASK64
         self._counter = 0
 
+    def _base(self, slot: int) -> int:
+        """key64 + (slot + 1) * GOLDEN, the word that counter slot mixes."""
+        return (self.key + (slot + 1) * _GOLDEN) & _MASK64
+
     def _uniforms(self, idx: np.ndarray) -> np.ndarray:
         """Uniforms in [0, 1) at the uint64 counter indices idx (overwritten)."""
         idx *= np.uint64(_GOLDEN)
-        idx += np.uint64((self.key + _GOLDEN) & _MASK64)
-        _mix64_array(idx)
-        idx >>= np.uint64(11)
-        return idx * 2.0**-53
+        idx += np.uint64(self._base(0))
+        return _unit_mix(idx, 2.0**-53)
 
     def random(self, n: Optional[int] = None):
         """Uniform draws in [0, 1); one counter slot per value."""
@@ -143,25 +179,30 @@ class RngStream:
         return float(u[0]) if n is None else u
 
     def standard_normal(self, n: Optional[int] = None):
-        """Normal draws via Box-Muller; two counter slots per value."""
+        """Normal draws via Box-Muller; two counter slots per value.
+
+        Value k takes its radius from slot c + 2k and its angle from slot
+        c + 2k + 1.  Both rows of slots are mixed in one pass over a (2, m)
+        array and scaled by one column, then transformed in place.
+        """
         c, m = self._counter, _count(n)
         self._counter += 2 * m
-        slots = np.arange(c, c + 2 * m, 2, dtype=np.uint64)
-        angle = self._uniforms(slots + np.uint64(1))     # odd slots
-        z = self._uniforms(slots)                        # even slots
+        x = np.arange(m, dtype=np.uint64)
+        x *= np.uint64((2 * _GOLDEN) & _MASK64)
+        x = x + np.array([[self._base(c)], [self._base(c + 1)]],
+                         dtype=np.uint64)
+        z, angle = _unit_mix(x, _NORMAL_SCALE)   # -u_even, 2 pi u_odd
         # sqrt(-2 log1p(-u_even)) * cos(2 pi u_odd), step by step in place
-        np.negative(z, out=z)
         np.log1p(z, out=z)
         z *= -2.0
         np.sqrt(z, out=z)
-        angle *= 2.0 * np.pi
         np.cos(angle, out=angle)
-        z *= angle
+        z = z * angle      # a new array that owns exactly its m values
         return float(z[0]) if n is None else z
 
     def uniform_at(self, index: int) -> float:
         """Uniform in [0, 1) at an absolute counter index (stateless)."""
-        x = _mix64((self.key + ((index + 1) * _GOLDEN)) & _MASK64)
+        x = _mix64(self._base(index))
         return (x >> 11) * 2.0**-53
 
     def uniforms_at(self, index) -> np.ndarray:

@@ -68,8 +68,8 @@ import numpy as np
 
 from . import channel as ch
 from . import geom
-from .engine import (DRAW_CHUNK, Engine, Event, RngStream, check_count,
-                     check_real)
+from .engine import (COUNT_MAX, DRAW_CHUNK, Engine, Event, RngStream,
+                     check_count, check_real)
 from .rates import chunked_mean, rci_array
 
 
@@ -294,12 +294,12 @@ class DistillationPolicy:
     yield_samples: int = 100_000
 
     def __post_init__(self):
-        check_count(self.rounds, "rounds", 1)
+        check_count(self.rounds, "rounds", 1, COUNT_MAX)
         if self.yield_rate is not None:
             # stored as a float, the type TRACE_SCHEMA gives it
             rate = check_real(self.yield_rate, "yield_rate", 0.0, 1.0)
             object.__setattr__(self, "yield_rate", rate)
-        check_count(self.yield_samples, "yield_samples", 1)
+        check_count(self.yield_samples, "yield_samples", 1, COUNT_MAX)
 
 
 def distilled_count(n_valid: int, yield_rate: float) -> int:
@@ -460,8 +460,8 @@ class Network:
             raise ValueError("a session needs two distinct stations")
         if a_id not in self.stations or b_id not in self.stations:
             raise ValueError("unknown station id")
-        check_count(qubits, "qubits", 1)
-        check_count(pairs_target, "pairs_target", 1)
+        check_count(qubits, "qubits", 1, COUNT_MAX)
+        check_count(pairs_target, "pairs_target", 1, COUNT_MAX)
         t0 = self.engine.now if t is None else float(t)
         sess = Session(self._next_session_id, a_id, b_id, qubits, pairs_target,
                        policy or DistillationPolicy())

@@ -68,7 +68,8 @@ from typing import Optional
 from . import channel as ch
 from . import geom
 from .proto import DistillationPolicy, Network
-from .engine import DEFAULT_SEED, SEED_MAX, Engine, check_count, check_real
+from .engine import (COUNT_MAX, DEFAULT_SEED, SEED_MAX, Engine, check_count,
+                     check_real)
 
 
 class ConfigError(ValueError):
@@ -170,13 +171,13 @@ _SATELLITE = {
 _REQUEST = {
     "requester": ("a_id", str, True),     # a station name until resolved
     "responder": ("b_id", str, True),
-    "qubits": ("qubits", _int(1), True),
-    "pairs_target": ("pairs_target", _int(1), True),
+    "qubits": ("qubits", _int(1, COUNT_MAX), True),
+    "pairs_target": ("pairs_target", _int(1, COUNT_MAX), True),
 }
 _POLICY = {
-    "distill_rounds": ("rounds", _int(1), False),
+    "distill_rounds": ("rounds", _int(1, COUNT_MAX), False),
     "yield_rate": ("yield_rate", _real(0, 1), False),
-    "yield_samples": ("yield_samples", _int(1), False),
+    "yield_samples": ("yield_samples", _int(1, COUNT_MAX), False),
 }
 _NETWORK = {
     "batch_size": ("batch_size", _int(1), False),

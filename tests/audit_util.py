@@ -1,6 +1,6 @@
 """Shared test oracles: trace replay audit, composite Gauss-Legendre
-quadrature, a brute-force relay-selection scan, and the scalar rate and
-dB formulas.
+quadrature, a brute-force relay-selection scan, the scalar rate and dB
+formulas, and the Monte-Carlo draw and map kernels stated step by step.
 
 These restate the contracts independently of the implementation so the
 tests check the simulator against them rather than against itself.
@@ -23,6 +23,52 @@ def rate_per_use(eta):
     if eta == 1.0:
         return 60.0
     return min(60.0, max(0.0, -math.log1p(-eta) / math.log(2.0)))
+
+
+# The pinned stream formula: value_i = mix(key + (i + 1) * GOLDEN) mod 2**64
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def oracle_uniforms(key, idx):
+    """Uniforms in [0, 1) of stream key at the counter indices idx, one
+    numpy step at a time: splitmix64, top 53 bits, times 2**-53."""
+    x = np.asarray(idx, dtype=np.uint64) * np.uint64(_GOLDEN)
+    x = x + np.uint64((key + _GOLDEN) % 2**64)
+    x = x ^ (x >> np.uint64(30))
+    x = x * np.uint64(0xBF58476D1CE4E5B9)
+    x = x ^ (x >> np.uint64(27))
+    x = x * np.uint64(0x94D049BB133111EB)
+    x = x ^ (x >> np.uint64(31))
+    return (x >> np.uint64(11)) * 2.0**-53
+
+
+def oracle_standard_normal(key, counter, n):
+    """(normals, next counter) of n Box-Muller draws from counter on (one
+    float when n is None): radius from the even slots, angle from the odd."""
+    m = 1 if n is None else n
+    slots = np.arange(counter, counter + 2 * m, 2, dtype=np.uint64)
+    u_even = oracle_uniforms(key, slots)
+    u_odd = oracle_uniforms(key, slots + np.uint64(1))
+    z = np.negative(u_even)
+    z = np.log1p(z)
+    z = z * -2.0
+    z = np.sqrt(z)
+    angle = u_odd * (2.0 * np.pi)
+    angle = np.cos(angle)
+    z = z * angle
+    return (float(z[0]) if n is None else z), counter + 2 * m
+
+
+def oracle_downlink(eta0, b, g):
+    """The downlink transmittance eta0 * clip(1 - |g| b, 0, 1)."""
+    return eta0 * np.clip(1.0 - np.abs(g) * b, 0.0, 1.0)
+
+
+def oracle_rci(eta):
+    """min(-log1p(-eta) / ln 2, 60) elementwise."""
+    with np.errstate(divide="ignore"):
+        return np.minimum(-np.log1p(-np.asarray(eta, dtype=float))
+                          / math.log(2.0), 60.0)
 
 
 def eta_from_db(loss_db):

@@ -11,6 +11,7 @@ import pytest
 
 from qsatnet import rates
 from qsatnet.cli import main
+from qsatnet.engine import COUNT_MAX
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "scenarios" / "example.ini")
 
@@ -131,6 +132,34 @@ class TestRun:
         bad.write_text(Path(EXAMPLE).read_text() + "batch_size = 0\n")
         assert run_cli(["run", str(bad)]) == 2
         assert "batch_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("distill_rounds", 10**320), ("yield_samples", 10**30),
+        ("yield_samples", 2**62), ("pairs_target", 10**30),
+        ("qubits", COUNT_MAX + 1)])
+    def test_count_above_bound_exits_2(self, tmp_path, capsys, key, value):
+        # too large for float arithmetic or any array: a bad value, not a
+        # runtime failure
+        bad = tmp_path / "bad.ini"
+        text = re.sub(rf"^{key} = .*\n", "", Path(EXAMPLE).read_text(),
+                      flags=re.M)
+        bad.write_text(text + f"{key} = {value}\n")
+        out = tmp_path / "never.jsonl"
+        assert run_cli(["run", str(bad), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: [protocol] {key}: bad value '{value}': value "
+            f"must be an integer in [1, {COUNT_MAX}]")
+
+    def test_unallocatable_yield_samples_exits_3(self, tmp_path, capsys):
+        # a count within the bound that no address space holds fails when
+        # the session's yield is drawn
+        bad = tmp_path / "bad.ini"
+        bad.write_text(Path(EXAMPLE).read_text().replace(
+            "yield_samples = 100000", "yield_samples = 100000000000000000"))
+        assert run_cli(["run", str(bad), "--output",
+                        str(tmp_path / "trace.jsonl")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "runtime failure: out of memory: ")
 
 
 class TestRatesSweep:
@@ -324,6 +353,19 @@ class TestRatesSweep:
         assert "runtime failure: out of memory: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--samples", str(10**30)], "--samples"),
+        (["--samples", str(COUNT_MAX + 1)], "--samples"),
+        (["--waist-grid", f"0.1:1:{2**62}"], "--waist-grid count"),
+    ])
+    def test_count_above_bound_exits_2(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "never.csv"
+        assert run_cli(["rates-sweep", "--distance", "1e6", *flags,
+                        "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {name} must be an integer in [1, {COUNT_MAX}], ")
+        assert not out.exists()
+
     def test_jsonl_format(self, tmp_path):
         out = tmp_path / "sweep.jsonl"
         run_cli(["rates-sweep", "--distance", "200e3", "--b", "0",
@@ -408,7 +450,8 @@ class TestChannelSample:
         ("fixed", "--distance", "nan"), ("fixed", "--wavelength", "-1"),
         ("fixed", "--waist", "inf"), ("fixed", "--rx-radius", "0"),
         ("downlink", "--b", "nan"), ("downlink", "--b", "-0.1"),
-        ("downlink", "--n", "0"),
+        ("downlink", "--n", "0"), ("downlink", "--n", str(2**62)),
+        ("uplink", "--n", str(10**30)),
         ("uplink", "--calibrate-target-db", "nan"),
         ("uplink", "--calibrate-target-db", "inf"),
         ("uplink", "--calibrate-target-db", "-1"),

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from qsatnet import channel as ch
 from qsatnet import geom
-from qsatnet.engine import Engine, make_stream
+from qsatnet.engine import COUNT_MAX, Engine, make_stream
 from qsatnet.proto import DistillationPolicy, EbitPool, Network
 from qsatnet.scenario import ConfigError, load_scenario
 from test_scenario import MINIMAL, with_field
@@ -31,10 +31,20 @@ def bad_reals(lo=-math.inf, hi=math.inf, strict=False):
     return st.one_of(bad)
 
 
-def bad_counts(lo=0):
-    """Every bool, every float and every int below lo: what a whole-number
-    field of at least lo has to reject."""
-    return st.one_of(st.booleans(), st.floats(), st.integers(max_value=lo - 1))
+def bad_counts(lo=0, hi=None):
+    """Every bool, every float, every int below lo and, when hi is given,
+    every int above hi: what a whole-number field in [lo, hi] has to
+    reject."""
+    bad = [st.booleans(), st.floats(), st.integers(max_value=lo - 1)]
+    if hi is not None:
+        bad.append(above(hi))
+    return st.one_of(bad)
+
+
+def above(hi):
+    """Ints above hi, among them the sizes no float or array holds."""
+    return st.one_of(st.integers(min_value=hi + 1),
+                     st.sampled_from([2**62, 10**30, 10**320]))
 
 
 POSITIVE = bad_reals(0, strict=True)
@@ -90,6 +100,11 @@ def network(**fields):
                    [leo(id=201)], **fields)
 
 
+def request(**fields):
+    return network().request(**{"a_id": 1, "b_id": 2, "qubits": 5,
+                                "pairs_target": 100, **fields})
+
+
 # GEO altitudes a relative 1e-8 or more from the fixed one
 OFF_GEO = st.one_of(NONFINITE,
                     st.floats(max_value=geom.GEO_ALTITUDE * (1 - 1e-8)),
@@ -124,9 +139,9 @@ CONSTRUCTORS = [
     (uplink, "beam_radius_at_rx", POSITIVE),
     (uplink, "sigma_wander", NONNEGATIVE),
     (uplink, "fade_coherence_time", POSITIVE),
-    (DistillationPolicy, "rounds", bad_counts(1)),
+    (DistillationPolicy, "rounds", bad_counts(1, COUNT_MAX)),
     (DistillationPolicy, "yield_rate", UNIT),
-    (DistillationPolicy, "yield_samples", bad_counts(1)),
+    (DistillationPolicy, "yield_samples", bad_counts(1, COUNT_MAX)),
     (pool, "coherence_time", POSITIVE),
     (pool, "capacity", bad_counts()),
     (network, "wavelength", POSITIVE),
@@ -135,6 +150,8 @@ CONSTRUCTORS = [
     (network, "batch_size", bad_counts(1)),
     (network, "source_rate_hz", POSITIVE),
     (network, "min_raw_pairs", bad_counts()),
+    (request, "qubits", bad_counts(1, COUNT_MAX)),
+    (request, "pairs_target", bad_counts(1, COUNT_MAX)),
 ]
 
 
@@ -158,9 +175,11 @@ def bad_real_text(lo=-math.inf, hi=math.inf, strict=False):
 NON_INTEGRAL = st.floats().filter(lambda x: not x.is_integer()).map(repr)
 
 
-def bad_count_text(lo=0):
-    return st.one_of(NON_INTEGRAL, st.integers(max_value=lo - 1).map(str),
-                     MISTYPED)
+def bad_count_text(lo=0, hi=None):
+    bad = [NON_INTEGRAL, st.integers(max_value=lo - 1).map(str), MISTYPED]
+    if hi is not None:
+        bad.append(above(hi).map(str))
+    return st.one_of(bad)
 
 
 # (section, key, the name the message gives the field when the node's own
@@ -189,11 +208,11 @@ SCENARIO_FIELDS = [
     ("satellite.leo1", "inclination_deg", None, bad_real_text()),
     ("satellite.leo1", "raan_deg", None, bad_real_text()),
     ("satellite.leo1", "phase_at_epoch_deg", None, bad_real_text()),
-    ("protocol", "qubits", None, bad_count_text(1)),
-    ("protocol", "pairs_target", None, bad_count_text(1)),
-    ("protocol", "distill_rounds", None, bad_count_text(1)),
+    ("protocol", "qubits", None, bad_count_text(1, COUNT_MAX)),
+    ("protocol", "pairs_target", None, bad_count_text(1, COUNT_MAX)),
+    ("protocol", "distill_rounds", None, bad_count_text(1, COUNT_MAX)),
     ("protocol", "yield_rate", None, bad_real_text(0, 1)),
-    ("protocol", "yield_samples", None, bad_count_text(1)),
+    ("protocol", "yield_samples", None, bad_count_text(1, COUNT_MAX)),
     ("protocol", "batch_size", None, bad_count_text(1)),
     ("protocol", "source_rate_hz", None, bad_real_text(0, strict=True)),
     ("protocol", "min_raw_pairs", None, bad_count_text()),

@@ -1,13 +1,15 @@
 """Every name the benchmark's layer tracer wraps exists in the package, and
-a traced batched run calls every layer the benchmark predicts for it.
+a traced batched run and a traced threaded sweep call every layer the
+benchmark predicts for them.
 
 The tracer records a name it cannot find as missing instead of failing, so
 a refactor that drops or moves a wrapped name (say ``qsatnet.proto:rci_array``)
 would otherwise surface only in a later benchmark run.  The first test
 resolves each target with the tracer's own lookup and installs no wrapper;
-the second installs the tracer and runs a small batched scenario, so a
-change that stops calling a predicted layer (say ``geom.ground_position``)
-fails here too.
+the others install the tracer and run a small batched scenario or a small
+sweep, so a change that stops calling a predicted layer (say
+``geom.ground_position``, or ``channel.sample_downlink`` from a kernel that
+draws around it) fails here too.
 """
 
 import importlib.util
@@ -44,27 +46,55 @@ def test_traced_target_resolves(target):
     assert Path(module.__file__).resolve().is_relative_to(SRC)
 
 
-def test_traced_batched_run_calls_every_predicted_layer(tmp_path):
+def traced_main(argv):
+    """The layer snapshot of one cli.main call under the tracer."""
     cli = importlib.import_module("qsatnet.cli")
+    layers = tracer.Tracer()
+    layers.install()
+    try:
+        # looked up after install, so the call enters through the wrapper
+        rc = cli.main(argv)
+    finally:
+        layers.uninstall()
+    assert rc == 0
+    assert layers.missing == []
+    return layers.snapshot()
+
+
+def assert_predicted_layers_called(snapshot, workload):
+    for group in bench_run.PREDICTED[workload]:
+        names = group if isinstance(group, tuple) else (group,)
+        assert sum(snapshot[name]["calls"] for name in names) > 0, \
+            f"{group} read no call"
+
+
+def test_traced_batched_run_calls_every_predicted_layer(tmp_path):
     text = (ROOT / "scenarios" / "example.ini").read_text()
     scenario = tmp_path / "batched.ini"
     scenario.write_text(re.sub(r"^pairs_target = .*$",
                                "pairs_target = 2000\nbatch_size = 100", text,
                                flags=re.M))
-    layers = tracer.Tracer()
-    layers.install()
-    try:
-        # looked up after install, so the run enters through the wrapper
-        rc = cli.main(["run", str(scenario), "--output",
-                       str(tmp_path / "trace.jsonl")])
-    finally:
-        layers.uninstall()
-    assert rc == 0
-    assert layers.missing == []
-    calls = {name: st["calls"] for name, st in layers.snapshot().items()}
-    for group in bench_run.PREDICTED["batched-run"]:
-        names = group if isinstance(group, tuple) else (group,)
-        assert sum(calls[name] for name in names) > 0, f"{group} read no call"
+    snapshot = traced_main(["run", str(scenario), "--output",
+                            str(tmp_path / "trace.jsonl")])
+    assert_predicted_layers_called(snapshot, "batched-run")
     # 20 batches of 100 pairs: one survival draw covers them all
-    survival = layers.snapshot()["proto.sample_pair_survival"]
+    survival = snapshot["proto.sample_pair_survival"]
     assert (survival["calls"], survival["items"]) == (1, 2000)
+
+
+def test_traced_threaded_sweep_calls_every_predicted_layer(tmp_path,
+                                                           monkeypatch):
+    rates = importlib.import_module("qsatnet.rates")
+    # two threads whatever the host: the second deals points 1 and 3
+    monkeypatch.setattr(rates, "_sweep_threads", lambda: 2)
+    samples = 20_000        # two draw chunks per point
+    snapshot = traced_main(["rates-sweep", "--distance", "36e6",
+                            "--waist-grid", "0.1,0.2", "--rx-grid", "0.5,1.0",
+                            "--samples", str(samples), "--output",
+                            str(tmp_path / "sweep.csv")])
+    assert_predicted_layers_called(snapshot, "rates-sweep")
+    # every chunk of every point is drawn, faded and mapped through its layer
+    for name in ("engine.standard_normal", "channel.sample_downlink",
+                 "rates.rci_array"):
+        assert (snapshot[name]["calls"], snapshot[name]["items"]) == \
+            (8, 4 * samples), name
