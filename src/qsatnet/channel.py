@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .engine import RngStream, check_real
+from .engine import COUNT_MAX, RngStream, check_count, check_real
 
 DEFAULT_WAVELENGTH = 1.55e-6      # telecom band [m]
 DEFAULT_FADE_COHERENCE = 1e-3     # uplink beam-wander coherence time [s]
@@ -161,7 +161,8 @@ def sample_downlink(model: DownlinkGaussianTail, rng: RngStream,
     n=None, else an ndarray of n independent draws.
     """
     if model.b == 0.0:
-        return model.eta0 if n is None else np.full(int(n), model.eta0)
+        return model.eta0 if n is None else np.full(
+            check_count(n, "draw count", 0, COUNT_MAX), model.eta0)
     # mapped in place over the normals this call owns; 1 - |G| b <= 1 for
     # finite G, so clamping below at 0 is the whole clamp
     eta = rng.standard_normal(1 if n is None else n)
@@ -209,7 +210,8 @@ def uplink_interval_samples(model: UplinkPointingFade, rng: RngStream,
                             n: int, start: int = 0) -> np.ndarray:
     """Transmittances of coherence intervals start .. start+n-1: the values
     that sample_uplink gives at every t with fade_interval(t) = k."""
-    return _fades_at(model, rng, np.arange(start, start + int(n)))
+    n = check_count(n, "draw count", 0, COUNT_MAX)
+    return _fades_at(model, rng, np.arange(start, start + n))
 
 
 def mean_uplink_transmittance(model: UplinkPointingFade) -> float:

@@ -308,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="uplink model: diffraction-only transmittance")
     p_chan.add_argument("--beam-radius-rx", type=float, default=1.1,
                         help="uplink model: beam radius at the receiver [m]")
-    p_chan.add_argument("--sigma-wander", type=float, default=None,
+    wander = p_chan.add_mutually_exclusive_group()
+    wander.add_argument("--sigma-wander", type=float, default=None,
                         help="uplink model: centroid jitter sigma [m]")
-    p_chan.add_argument("--calibrate-target-db", type=float, default=None,
+    wander.add_argument("--calibrate-target-db", type=float, default=None,
                         help="uplink model: pick sigma to hit this mean loss")
     p_chan.add_argument("--fade-coherence", type=float,
                         default=ch.DEFAULT_FADE_COHERENCE,

@@ -144,7 +144,7 @@ def derive_key(root_seed: int, parts: tuple) -> int:
 
 def _count(n: Optional[int]) -> int:
     """Number of values a sequential draw returns (1 for a scalar draw)."""
-    return 1 if n is None else check_count(int(n), "draw count", 0, COUNT_MAX)
+    return 1 if n is None else check_count(n, "draw count", 0, COUNT_MAX)
 
 
 class RngStream:

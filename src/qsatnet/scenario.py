@@ -2,7 +2,9 @@
 
 Layout (# comments allowed anywhere).  The keys commented out are optional:
 an absent one is not passed on, so the constructor it feeds takes its own
-default.
+default.  [scenario] feeds Engine (seed), Engine.run_until (t_end) and
+Network (earth_rotation, min_elevation_deg); [channel] and the [protocol]
+batch keys feed Network too.
 
     [scenario]
     t_end = 1.0
@@ -65,7 +67,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Optional
 
-from . import channel as ch
 from . import geom
 from .proto import DistillationPolicy, Network
 from .engine import (COUNT_MAX, DEFAULT_SEED, SEED_MAX, Engine, check_count,
@@ -84,17 +85,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class Scenario:
-    """A loaded scenario.  network and request hold the [protocol] keywords
-    the file gives for Network and Network.request (request is None without
-    a [protocol] section)."""
+    """A loaded scenario.  network holds every Network keyword the file
+    sets, from [scenario], [channel] and [protocol]; request holds the
+    keywords for Network.request (None without a [protocol] section)."""
     t_end: float
     stations: list
     satellites: list
     seed: int = DEFAULT_SEED
-    earth_rotation: bool = False
-    min_elevation: float = geom.DEFAULT_MIN_ELEVATION
-    wavelength: float = ch.DEFAULT_WAVELENGTH
-    downlink_b: float = ch.DEFAULT_DOWNLINK_B
     network: dict = field(default_factory=dict)
     request: Optional[dict] = None
 
@@ -138,9 +135,12 @@ def _deg(lo: float = -math.inf, hi: float = math.inf):
 
 
 # Key tables: INI key -> (constructor keyword, converter, required).
+# [scenario] feeds two constructors, one table each
 _SCENARIO = {
     "seed": ("seed", _int(0, SEED_MAX), False),
     "t_end": ("t_end", _real(0), True),
+}
+_GEOMETRY = {
     "earth_rotation": ("earth_rotation", _to_bool, False),
     "min_elevation_deg": ("min_elevation", _deg(-90, 90), False),
 }
@@ -225,9 +225,9 @@ def load_scenario(path: str) -> Scenario:
 
     if not parser.has_section("scenario"):
         raise ConfigError("missing section", "scenario")
-    settings, = _read(parser, "scenario", _SCENARIO)
+    settings, network = _read(parser, "scenario", _SCENARIO, _GEOMETRY)
     if parser.has_section("channel"):
-        settings.update(*_read(parser, "channel", _CHANNEL))
+        network.update(*_read(parser, "channel", _CHANNEL))
 
     stations, satellites = [], []
     station_ids: dict[str, int] = {}
@@ -256,10 +256,11 @@ def load_scenario(path: str) -> Scenario:
                               f"[{seen_ids[node.id]}])", section, "id")
         seen_ids[node.id] = section
 
-    network, request = {}, None
+    request = None
     if parser.has_section("protocol"):
-        request, policy, network = _read(parser, "protocol", _REQUEST,
-                                         _POLICY, _NETWORK)
+        request, policy, batching = _read(parser, "protocol", _REQUEST,
+                                          _POLICY, _NETWORK)
+        network.update(batching)
         for keyword, key in (("a_id", "requester"), ("b_id", "responder")):
             name = request[keyword]
             if name not in station_ids:
@@ -291,15 +292,8 @@ def run_scenario(scenario: Scenario, trace_sink=None):
     Returns (network, summary dict).
     """
     engine = Engine(seed=scenario.seed)
-    network = Network(
-        engine, scenario.stations, scenario.satellites,
-        wavelength=scenario.wavelength,
-        downlink_b=scenario.downlink_b,
-        min_elevation=scenario.min_elevation,
-        earth_rotation=scenario.earth_rotation,
-        trace_sink=trace_sink,
-        **scenario.network,
-    )
+    network = Network(engine, scenario.stations, scenario.satellites,
+                      trace_sink=trace_sink, **scenario.network)
     if scenario.request is not None:
         network.request(**scenario.request, t=0.0)
     engine.run_until(scenario.t_end)

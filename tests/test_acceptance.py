@@ -125,7 +125,7 @@ def test_criterion_5_protocol_conservation_and_safety():
     ok &= summary["pairs_attempted"] == 10_000
     sess = stats[1]
     ok &= sess["delivered"] == sess["consumed_distilled"]
-    shrink = 1.0 - scenario.downlink_b * math.sqrt(2.0 / math.pi)
+    shrink = 1.0 - network.downlink_b * math.sqrt(2.0 / math.pi)
     batch = sess["batches"][0]
     p = (batch["eta0_a"] * shrink) * (batch["eta0_b"] * shrink)
     n = batch["attempted"]

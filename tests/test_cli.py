@@ -458,8 +458,11 @@ class TestChannelSample:
     ])
     def test_bad_numeric_flag_exits_2(self, tmp_path, capsys, model, flag, value):
         out = tmp_path / "never.csv"
-        assert run_cli(["channel-sample", "--model", model, "--sigma-wander",
-                        "0.3", "--n", "5", flag, value, "--output", str(out)]) == 2
+        # --sigma-wander and --calibrate-target-db exclude each other
+        wander = ([] if flag == "--calibrate-target-db"
+                  else ["--sigma-wander", "0.3"])
+        assert run_cli(["channel-sample", "--model", model, *wander,
+                        "--n", "5", flag, value, "--output", str(out)]) == 2
         assert f"config error: {flag} " in capsys.readouterr().err
         assert not out.exists()
 
@@ -691,6 +694,8 @@ class TestOutput:
     @pytest.mark.parametrize("argv", [
         ["run", EXAMPLE, "--format", "jsonl"],
         ["rates-sweep", "--distance", "1e6", "--parallel"],
+        ["channel-sample", "--model", "uplink", "--sigma-wander", "0.5",
+         "--calibrate-target-db", "20"],
         ["packet", "encode", "--seed", "1"],
         ["packet", "encode", "--format", "csv"],
         ["packet", "decode", "--seed", "1"],

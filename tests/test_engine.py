@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qsatnet import channel as ch
 from qsatnet.engine import (DRAW_CHUNK, Engine, EngineError, derive_key,
                             make_stream)
 
@@ -200,6 +201,19 @@ def test_negative_draw_count_raises():
         s.random(-3)
     with pytest.raises(ValueError):
         s.standard_normal(-2)
+    # a float count is rejected, not truncated
+    with pytest.raises(ValueError, match="draw count"):
+        s.random(2.9)
+    with pytest.raises(ValueError, match="draw count"):
+        s.standard_normal(2.7)
+    # the channel samplers read their counts by the same rule
+    uplink = ch.UplinkPointingFade(0.036, 1.1, 0.5)
+    for n in (-1, 2.7):
+        for b in (0.0, 0.1):
+            with pytest.raises(ValueError, match="draw count"):
+                ch.sample_downlink(ch.DownlinkGaussianTail(0.3, b), s, n)
+        with pytest.raises(ValueError, match="draw count"):
+            ch.uplink_interval_samples(uplink, s, n)
     rest = s.random(3)
     assert np.array_equal(np.concatenate((first, rest)),
                           make_stream(4, "count").random(6))

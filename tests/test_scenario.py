@@ -82,11 +82,13 @@ class TestLoading:
         assert len(sc.stations) == 2
         assert len(sc.satellites) == 5
         assert sc.request["qubits"] == 50
-        assert sc.min_elevation == pytest.approx(math.radians(10.0))
+        assert sc.network["min_elevation"] == pytest.approx(math.radians(10.0))
 
     def test_minimal_scenario(self, tmp_path):
         sc = load_scenario(write_scenario(tmp_path, MINIMAL))
-        assert sc.downlink_b == 0.1            # default
+        network = Network(Engine(sc.seed), sc.stations, sc.satellites,
+                          **sc.network)
+        assert network.downlink_b == 0.1       # default
         assert sc.satellites[0].tier is geom.Tier.GEO
         assert sc.satellites[0].altitude == geom.GEO_ALTITUDE
 
@@ -246,6 +248,15 @@ class TestKeyTables:
         assert sc.stations[0].memory_capacity == 5000
         assert sc.request["policy"].rounds == 2
         assert sc.network["min_raw_pairs"] == 10
+        # every Network keyword the file sets reaches the Network it runs
+        network, _ = run_scenario(sc)
+        assert network.earth_rotation is True
+        assert network.min_elevation == math.radians(15.0)
+        assert network.wavelength == 1.3e-6
+        assert network.downlink_b == 0.2
+        assert network.batch_size == 5000
+        assert network.source_rate_hz == 2e6
+        assert network.min_raw_pairs == 10
 
 
 class TestRunScenario:
