@@ -100,11 +100,12 @@ def _check_budget(beam: BeamParams, rx_radius: float, distance: float) -> None:
 
 
 def db_from_eta(eta: float) -> float:
-    """Loss in dB; eta = 0 maps to +inf (infinite loss, not an error)."""
+    """Loss in dB; eta = 0 maps to +inf (infinite loss, not an error) and
+    eta = 1 to +0.0, not -0.0."""
     check_real(eta, "eta", 0.0, 1.0)
     if eta == 0.0:
         return math.inf
-    return -10.0 * math.log10(eta)
+    return -10.0 * math.log10(eta) if eta < 1.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,10 @@ class UplinkPointingFade:
         check_real(self.sigma_wander, "sigma_wander", 0)
         check_real(self.fade_coherence_time, "fade_coherence_time", 0,
                    strict=True)
+        for name in ("beam_radius_at_rx", "sigma_wander"):   # both squared
+            value = getattr(self, name)
+            if not _squares(float(value)):
+                raise ValueError(f"{name}={value!r} is too large to square")
 
 
 OpticalChannelModel = Union[FixedDiffraction, DownlinkGaussianTail, UplinkPointingFade]

@@ -8,14 +8,17 @@ Subcommands:
     packet encode  JSON packet description -> hex frame
     packet decode  hex frame -> JSON packet description
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure.  All
-outputs are byte-reproducible for a fixed seed.
+Exit codes: 0 success, 2 configuration error, 3 runtime failure.  The
+commands raise; ``main`` alone turns an exception into one stderr line
+and its exit code (``_report``), so no subcommand ends in a traceback.
+All outputs are byte-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -27,8 +30,8 @@ import numpy as np
 from . import channel as ch
 from . import packet as pk
 from . import rates
-from .engine import (COUNT_MAX, DEFAULT_SEED, SEED_MAX, check_count,
-                     check_real, make_stream)
+from .engine import (COUNT_MAX, DEFAULT_SEED, SEED_MAX, EngineError,
+                     check_count, check_real, make_stream)
 from .proto import trace_line
 from .scenario import load_scenario, run_scenario
 
@@ -44,15 +47,19 @@ def _parse_grid(spec: str, flag: str) -> list:
     """Grid syntax: comma-separated values or lo:hi:count (inclusive).
     Every value is a radius, so it must be finite and > 0."""
     spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"{flag} must be lo:hi:count, got {spec!r}")
-        lo, hi = float(parts[0]), float(parts[1])
-        count = check_count(int(parts[2]), f"{flag} count", 1, COUNT_MAX)
-        values = [lo] if count == 1 else list(np.linspace(lo, hi, count))
-    else:
-        values = [float(v) for v in spec.split(",") if v.strip()]
+    try:                            # every message names the flag
+        if ":" in spec:
+            parts = spec.split(":")
+            if len(parts) != 3:
+                raise ValueError(f"must be lo:hi:count, got {spec!r}")
+            lo = check_real(float(parts[0]), "lo")
+            hi = check_real(float(parts[1]), "hi")
+            count = check_count(int(parts[2]), "count", 1, COUNT_MAX)
+            values = [lo] if count == 1 else list(np.linspace(lo, hi, count))
+        else:
+            values = [float(v) for v in spec.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{flag} {exc}") from None
     if not values:
         raise ValueError(f"{flag} is empty")
     for v in values:
@@ -60,11 +67,13 @@ def _parse_grid(spec: str, flag: str) -> list:
     return values
 
 
-def _check_flags(args, positive=(), nonnegative=()) -> None:
-    """Named numeric flags must be finite and > 0, or >= 0; None is unset."""
-    for name in positive + nonnegative:
+def _check_flags(args, positive=(), nonnegative=(), fractions=()) -> None:
+    """Named numeric flags must be finite and > 0, >= 0, or in [0, 1] for
+    fractions; None is unset."""
+    for name in positive + nonnegative + fractions:
         if getattr(args, name) is not None:
             check_real(getattr(args, name), f"--{name.replace('_', '-')}", 0,
+                       1 if name in fractions else math.inf,
                        strict=name in positive)
 
 
@@ -80,10 +89,6 @@ def _read_input(path: Optional[str]) -> bytes:
     return sys.stdin.buffer.read() if path is None else Path(path).read_bytes()
 
 
-class OutputError(OSError):
-    """The --output file cannot be opened."""
-
-
 @contextmanager
 def _output(path: Optional[str], binary: bool = False):
     """The --output file, or stdout when it is absent or "-"; a file is
@@ -95,7 +100,7 @@ def _output(path: Optional[str], binary: bool = False):
         out = (open(path, "wb") if binary else
                open(path, "w", encoding="utf-8", newline=""))
     except OSError as exc:
-        raise OutputError(f"--output cannot be opened: {exc}") from exc
+        raise ValueError(f"--output cannot be opened: {exc}") from exc
     with out:
         yield out
 
@@ -104,41 +109,24 @@ def _jsonl(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        if args.seed is not None:
-            scenario.seed = _seed(args)
-    except ValueError as exc:       # a ConfigError, or a bad --seed
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _cmd_run(args) -> None:
+    scenario = load_scenario(args.scenario)
+    if args.seed is not None:
+        scenario.seed = _seed(args)
     with _output(args.output) as out:
-        try:
-            network, summary = run_scenario(
-                scenario, trace_sink=lambda r: out.write(trace_line(r)))
-            out.write(_jsonl({"summary": summary}))
-        except BrokenPipeError:
-            raise                       # main reports a closed stdout
-        except Exception as exc:
-            if isinstance(exc.__cause__, (BrokenPipeError, MemoryError)):
-                raise exc.__cause__     # main reports these, as for any command
-            print(f"runtime failure: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-    return EXIT_OK
+        network, summary = run_scenario(
+            scenario, trace_sink=lambda r: out.write(trace_line(r)))
+        out.write(_jsonl({"summary": summary}))
 
 
-def _cmd_rates_sweep(args) -> int:
-    try:
-        waists = _parse_grid(args.waist_grid, "--waist-grid")
-        rx_radii = _parse_grid(args.rx_grid, "--rx-grid")
-        _check_flags(args, ("distance", "wavelength"), ("b",))
-        check_count(args.samples, "--samples", 1, COUNT_MAX)
-        surface = rates.sweep(waists, rx_radii, args.distance, args.b,
-                              wavelength=args.wavelength, n_samples=args.samples,
-                              seed=_seed(args))
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _cmd_rates_sweep(args) -> None:
+    waists = _parse_grid(args.waist_grid, "--waist-grid")
+    rx_radii = _parse_grid(args.rx_grid, "--rx-grid")
+    _check_flags(args, ("distance", "wavelength"), ("b",))
+    check_count(args.samples, "--samples", 1, COUNT_MAX)
+    surface = rates.sweep(waists, rx_radii, args.distance, args.b,
+                          wavelength=args.wavelength, n_samples=args.samples,
+                          seed=_seed(args))
     with _output(args.output) as out:
         rows = ((w0, rx, float(surface.mean_rates[i, j]))
                 for i, w0 in enumerate(waists) for j, rx in enumerate(rx_radii))
@@ -151,7 +139,6 @@ def _cmd_rates_sweep(args) -> int:
             out.write("tx_waist_m,rx_radius_m,distance_m,b,mean_rate_ebits\n")
             for w0, rx, rate in rows:
                 out.write(f"{w0!r},{rx!r},{args.distance!r},{args.b!r},{rate!r}\n")
-    return EXIT_OK
 
 
 def _build_channel_model(args):
@@ -172,30 +159,27 @@ def _build_channel_model(args):
                                  args.fade_coherence)
 
 
-def _cmd_channel_sample(args) -> int:
-    try:
-        check_count(args.n, "--n", 1, COUNT_MAX)
-        _check_flags(args, ("t_step", "fade_coherence", "wavelength",
-                            "distance", "waist", "rx_radius", "beam_radius_rx"),
-                     ("b", "sigma_wander", "calibrate_target_db"))
-        if (args.model == "uplink" and args.t_step is not None
-                and (args.n - 1) * args.t_step / args.fade_coherence >= 2.0**63):
-            raise ValueError(f"--t-step {args.t_step} puts sample {args.n - 1} "
-                             f"past 2**63 fade intervals")
-        model = _build_channel_model(args)
-        rng = make_stream(_seed(args), "channel-sample", args.model)
-        times = np.arange(args.n, dtype=float)
-        if isinstance(model, ch.FixedDiffraction):
-            etas = np.full(args.n, model.eta)
-        elif isinstance(model, ch.DownlinkGaussianTail):
-            etas = np.asarray(ch.sample_downlink(model, rng, args.n))
-        else:
-            times *= (model.fade_coherence_time if args.t_step is None
-                      else args.t_step)
-            etas = ch.sample_uplink(model, rng, times)
-    except (ValueError, ch.InfeasibleTargetError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _cmd_channel_sample(args) -> None:
+    check_count(args.n, "--n", 1, COUNT_MAX)
+    _check_flags(args, ("t_step", "fade_coherence", "wavelength", "distance",
+                        "waist", "rx_radius", "beam_radius_rx"),
+                 ("b", "sigma_wander", "calibrate_target_db"),
+                 ("eta0", "eta_diffraction"))
+    if (args.model == "uplink" and args.t_step is not None
+            and (args.n - 1) * args.t_step / args.fade_coherence >= 2.0**63):
+        raise ValueError(f"--t-step {args.t_step} puts sample {args.n - 1} "
+                         f"past 2**63 fade intervals")
+    model = _build_channel_model(args)
+    rng = make_stream(_seed(args), "channel-sample", args.model)
+    times = np.arange(args.n, dtype=float)
+    if isinstance(model, ch.FixedDiffraction):
+        etas = np.full(args.n, model.eta)
+    elif isinstance(model, ch.DownlinkGaussianTail):
+        etas = np.asarray(ch.sample_downlink(model, rng, args.n))
+    else:
+        times *= (model.fade_coherence_time if args.t_step is None
+                  else args.t_step)
+        etas = ch.sample_uplink(model, rng, times)
     with _output(args.output) as out:
         rows = ((float(t), float(e)) for t, e in zip(times, etas))
         if args.format == "jsonl":
@@ -206,48 +190,35 @@ def _cmd_channel_sample(args) -> int:
             out.write("t,eta,loss_db\n")
             for t, e in rows:
                 out.write(f"{t!r},{e!r},{ch.db_from_eta(e)!r}\n")
-    return EXIT_OK
 
 
-def _cmd_packet_encode(args) -> int:
+def _cmd_packet_encode(args) -> None:
     try:
         spec = json.loads(_read_input(args.input).decode("utf-8"))
         if not isinstance(spec, dict):
             raise TypeError(f"expected a JSON object, got {type(spec).__name__}")
-        data = pk.encode(pk.packet_from_dict(spec))
-    except pk.EncodeValidationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        packet = pk.packet_from_dict(spec)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         # unreadable input, malformed or too deeply nested JSON, bad hex,
         # missing or mistyped fields
-        print(f"config error: bad packet description: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"bad packet description: {exc}") from exc
+    data = pk.encode(packet)     # an EncodeValidationError names the field
     with _output(args.output, binary=args.raw) as out:
         out.write(data if args.raw else data.hex() + "\n")
-    return EXIT_OK
 
 
-def _cmd_packet_decode(args) -> int:
+def _cmd_packet_decode(args) -> None:
     try:
         data = _read_input(args.input)
         if not args.raw:
             data = bytes.fromhex("".join(data.decode("utf-8").split()))
     except (OSError, ValueError) as exc:
         # unreadable input, non-UTF-8 text or bad hex
-        print(f"config error: bad frame input: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        decoded = pk.decode(data)
-    except pk.PacketError as exc:
-        record = {"error": type(exc).__name__, "offset": exc.offset,
-                  "message": str(exc)}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return EXIT_RUNTIME
+        raise ValueError(f"bad frame input: {exc}") from exc
+    decoded = pk.decode(data)
     with _output(args.output) as out:
         out.write(json.dumps(pk.packet_to_dict(decoded), sort_keys=True,
                              indent=2) + "\n")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,25 +313,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError as exc:
+def _report(exc: Exception) -> int:
+    """Print the one stderr line for a command's failure; its exit code.
+    An event handler's failure is reported as the closed pipe or the
+    MemoryError it wraps."""
+    if (isinstance(exc, EngineError)
+            and isinstance(exc.__cause__, (BrokenPipeError, MemoryError))):
+        exc = exc.__cause__
+    if isinstance(exc, BrokenPipeError):
         # the reader closed stdout: point it at devnull, as the Python signal
         # docs advise, so the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"runtime failure: output closed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OutputError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError as exc:
+        line, code = f"runtime failure: output closed: {exc}", EXIT_RUNTIME
+    elif isinstance(exc, pk.PacketError):     # a ValueError, so checked first
+        line = json.dumps({"error": type(exc).__name__, "offset": exc.offset,
+                           "message": str(exc)}, sort_keys=True)
+        code = EXIT_RUNTIME
+    elif isinstance(exc, ValueError):         # every bad input or --output
+        line, code = f"config error: {exc}", EXIT_CONFIG
+    elif isinstance(exc, MemoryError):
         # a grid, sample count or frame too large to allocate
-        print(f"runtime failure: out of memory: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        line, code = f"runtime failure: out of memory: {exc}", EXIT_RUNTIME
+    else:
+        line, code = f"runtime failure: {exc}", EXIT_RUNTIME
+    print(line, file=sys.stderr)
+    return code
+
+
+def main(argv: Optional[list] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        args.func(args)
+        sys.stdout.flush()
+    except Exception as exc:
+        return _report(exc)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

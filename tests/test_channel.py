@@ -70,6 +70,7 @@ class TestDiffractionTransmittance:
 class TestDbConversion:
     def test_unity_is_zero_db(self):
         assert ch.db_from_eta(1.0) == 0.0
+        assert math.copysign(1.0, ch.db_from_eta(1.0)) == 1.0   # not -0.0
 
     def test_half_is_3db(self):
         assert ch.db_from_eta(0.5) == pytest.approx(3.0103, abs=1e-4)

@@ -279,9 +279,16 @@ class TestRatesSweep:
         assert len(rows) == 100
         assert all(float(r.split(",")[-1]) < 0.05 for r in rows)
 
-    def test_malformed_grid_exits_2(self):
+    def test_malformed_grid_exits_2(self, capsys):
         assert run_cli(["rates-sweep", "--distance", "1e6",
                         "--waist-grid", "0.1:0.5", "--rx-grid", "0.2"]) == 2
+        # text that is not a number, or a bound out of the float range
+        for grid in ("a:b:3", "0.1:1:x", "0.1,abc", "0.1:1e400:3"):
+            capsys.readouterr()
+            assert run_cli(["rates-sweep", "--distance", "1e6",
+                            "--waist-grid", grid, "--rx-grid", "0.2"]) == 2
+            assert capsys.readouterr().err.startswith(
+                "config error: --waist-grid"), grid
         assert run_cli(["rates-sweep", "--distance", "-5",
                         "--waist-grid", "0.1", "--rx-grid", "0.2"]) == 2
         for grid in ("0", "-0.5", "0.1,0", "0:1:3", "nan", "inf"):
@@ -455,6 +462,9 @@ class TestChannelSample:
         ("uplink", "--calibrate-target-db", "nan"),
         ("uplink", "--calibrate-target-db", "inf"),
         ("uplink", "--calibrate-target-db", "-1"),
+        ("downlink", "--eta0", "2"), ("downlink", "--eta0", "nan"),
+        ("uplink", "--eta-diffraction", "1.5"),
+        ("uplink", "--eta-diffraction", "-0.1"),
     ])
     def test_bad_numeric_flag_exits_2(self, tmp_path, capsys, model, flag, value):
         out = tmp_path / "never.csv"
@@ -478,6 +488,28 @@ class TestChannelSample:
                         *flags, "--output", str(out)]) == 2
         assert f"config error: {field}=" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--beam-radius-rx", "1e160", "--sigma-wander", "1.5"],
+         "beam_radius_at_rx=1e+160"),
+        (["--beam-radius-rx", "1e160", "--calibrate-target-db", "20"],
+         "beam_radius_at_rx=1e+160"),
+        (["--sigma-wander", "1e155"], "sigma_wander=1e+155"),
+    ])
+    def test_uplink_radius_too_large_to_square_exits_2(self, tmp_path, capsys,
+                                                       flags, field):
+        out = tmp_path / "never.csv"
+        assert run_cli(["channel-sample", "--model", "uplink", "--n", "2",
+                        *flags, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {field} is too large to square\n")
+        assert not out.exists()
+
+    def test_lossless_row_reads_positive_zero_db(self, tmp_path):
+        out = tmp_path / "lossless.csv"
+        assert run_cli(["channel-sample", "--model", "downlink", "--eta0", "1",
+                        "--b", "0", "--n", "1", "--output", str(out)]) == 0
+        assert out.read_text() == "t,eta,loss_db\n0.0,1.0,0.0\n"
 
     def test_unallocatable_request_exits_3(self, tmp_path, capsys):
         # 10**17 rows need 8e17 bytes, more than any user address space
@@ -630,20 +662,46 @@ class TestOutput:
                         "--output", str(frame)]) == 0
         return spec, frame
 
-    @pytest.mark.parametrize("command", [
-        "run", "rates-sweep", "channel-sample", "packet encode", "packet decode"])
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+    def argv(self, tmp_path, command):
+        """A working argv of each subcommand, without --output."""
         spec, frame = self.inputs(tmp_path)
-        argv = {"run": ["run", EXAMPLE],
+        return {"run": ["run", EXAMPLE],
                 "rates-sweep": ["rates-sweep", "--distance", "1e6", "--samples",
                                 "10", "--waist-grid", "0.1", "--rx-grid", "0.2"],
                 "channel-sample": ["channel-sample", "--model", "downlink"],
                 "packet encode": ["packet", "encode", "--input", str(spec)],
                 "packet decode": ["packet", "decode", "--input", str(frame)],
                 }[command]
+
+    @pytest.mark.parametrize("command", [
+        "run", "rates-sweep", "channel-sample", "packet encode", "packet decode"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        argv = self.argv(tmp_path, command)
         unwritable = str(tmp_path / "missing-dir" / "out")
         assert run_cli(argv + ["--output", unwritable]) == 2
         assert "config error: --output " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, call", [
+        ("run", "qsatnet.cli.run_scenario"),
+        ("rates-sweep", "qsatnet.rates.sweep"),
+        ("channel-sample", "qsatnet.channel.sample_downlink"),
+        ("packet encode", "qsatnet.packet.encode"),
+        ("packet decode", "qsatnet.packet.decode"),
+    ])
+    def test_unexpected_failure_exits_3(self, tmp_path, capsys, monkeypatch,
+                                        command, call):
+        # an exception no command expects is reported by main like any other
+        def boom(*args, **kwargs):
+            raise ZeroDivisionError("boom")
+
+        argv = self.argv(tmp_path, command)
+        monkeypatch.setattr(call, boom)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--output", str(out)]) == 3
+        assert capsys.readouterr().err == "runtime failure: boom\n"
+        if command in ("rates-sweep", "channel-sample"):
+            assert not out.exists()
 
     def test_encode_raw_writes_output_file(self, tmp_path, capsys):
         spec, frame = self.inputs(tmp_path)
