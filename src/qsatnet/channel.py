@@ -153,6 +153,8 @@ class UplinkPointingFade:
             value = getattr(self, name)
             if not _squares(float(value)):
                 raise ValueError(f"{name}={value!r} is too large to square")
+            if value and float(value) ** 2 == 0.0:
+                raise ValueError(f"{name}={value!r} is too small to square")
 
 
 OpticalChannelModel = Union[FixedDiffraction, DownlinkGaussianTail, UplinkPointingFade]
@@ -221,10 +223,13 @@ def uplink_interval_samples(model: UplinkPointingFade, rng: RngStream,
 
 def mean_uplink_transmittance(model: UplinkPointingFade) -> float:
     """Closed-form E[eta] = eta_diffraction * gamma / (gamma + 1)
-    with gamma = beam_radius_at_rx^2 / (4 * sigma_wander^2)."""
+    with gamma = beam_radius_at_rx^2 / (4 * sigma_wander^2); a gamma past
+    the float range gives the limit eta_diffraction."""
     if model.sigma_wander == 0.0:
         return model.eta_diffraction
     gamma = model.beam_radius_at_rx**2 / (4.0 * model.sigma_wander**2)
+    if gamma == math.inf:
+        return model.eta_diffraction
     return model.eta_diffraction * gamma / (gamma + 1.0)
 
 
@@ -235,7 +240,8 @@ def calibrate_uplink_sigma(eta_diffraction: float, beam_radius_at_rx: float,
     Bisects sigma against the closed-form mean loss (monotone increasing in
     sigma) until the bracket collapses; the returned sigma reproduces the
     target well inside 0.01 dB.  Raises InfeasibleTargetError when the
-    target is below the pure-diffraction loss.
+    target is below the pure-diffraction loss, or when only a sigma whose
+    4 sigma**2 overflows would reach it.
     """
     check_real(eta_diffraction, "eta_diffraction", 0.0, 1.0)
     check_real(beam_radius_at_rx, "beam_radius_at_rx", 0, strict=True)
@@ -265,4 +271,7 @@ def calibrate_uplink_sigma(eta_diffraction: float, beam_radius_at_rx: float,
             lo = mid
         else:
             hi = mid
+    if loss_at(hi) == math.inf:     # 4 sigma**2 overflowed to inf
+        raise InfeasibleTargetError(f"target {target_mean_loss_db} dB needs a "
+                                    f"wander beyond the float range")
     return 0.5 * (lo + hi)

@@ -124,11 +124,11 @@ def _cmd_rates_sweep(args) -> None:
     rx_radii = _parse_grid(args.rx_grid, "--rx-grid")
     _check_flags(args, ("distance", "wavelength"), ("b",))
     check_count(args.samples, "--samples", 1, COUNT_MAX)
-    surface = rates.sweep(waists, rx_radii, args.distance, args.b,
-                          wavelength=args.wavelength, n_samples=args.samples,
-                          seed=_seed(args))
+    mean_rates = rates.sweep(waists, rx_radii, args.distance, args.b,
+                             wavelength=args.wavelength,
+                             n_samples=args.samples, seed=_seed(args))
     with _output(args.output) as out:
-        rows = ((w0, rx, float(surface.mean_rates[i, j]))
+        rows = ((w0, rx, float(mean_rates[i, j]))
                 for i, w0 in enumerate(waists) for j, rx in enumerate(rx_radii))
         if args.format == "jsonl":
             for w0, rx, rate in rows:

@@ -27,8 +27,7 @@ import hashlib
 import heapq
 import math
 import struct
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -216,8 +215,9 @@ def make_stream(root_seed: int, *parts) -> RngStream:
                                 parts))
 
 
-@dataclass
-class Event:
+class Event(NamedTuple):
+    """A scheduled event, queued as it is: seq is unique, so the heap orders
+    events by (time, seq) and never compares kind or handler."""
     time: float
     seq: int
     kind: str
@@ -230,7 +230,7 @@ class Engine:
     def __init__(self, seed: int = DEFAULT_SEED):
         self.seed = check_count(seed, "seed", 0, SEED_MAX)
         self._now = 0.0
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[Event] = []
         self.scheduled_count = 0
         self.processed_count = 0
 
@@ -250,7 +250,7 @@ class Engine:
                 f"cannot schedule '{kind}' at t={t}, current t={self._now}")
         ev = Event(t, self.scheduled_count, kind, handler)
         self.scheduled_count += 1
-        heapq.heappush(self._queue, (ev.time, ev.seq, ev))
+        heapq.heappush(self._queue, ev)
         return ev
 
     def run_until(self, t_end: float) -> int:
@@ -264,8 +264,8 @@ class Engine:
         if not t_end >= self._now:     # also rejects NaN
             raise EngineError(f"cannot run until t={t_end}, current t={self._now}")
         start = self.processed_count
-        while self._queue and self._queue[0][0] <= t_end:
-            _, _, ev = heapq.heappop(self._queue)
+        while self._queue and self._queue[0].time <= t_end:
+            ev = heapq.heappop(self._queue)
             self._now = ev.time
             try:
                 ev.handler(ev)

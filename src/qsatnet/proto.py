@@ -356,13 +356,9 @@ class Session:
     survivors_emitted: int = 0
     distribution_done: bool = False
     eta0: tuple = ()    # the last emitted batch's diffraction floors at a, b
-    yield_rate_used: Optional[float] = None
     pairs_attempted: int = 0
     pairs_survived: int = 0
-    distilled_created: int = 0
-    ebits_consumed: int = 0
     qubits_delivered: int = 0
-    classical_bits: int = 0
     failure_reason: Optional[str] = None
     # per-session streams persist across batches so draws never repeat
     draws: Optional[PairDraws] = None
@@ -404,7 +400,6 @@ class Network:
         self.trace: list[dict] = []
         self._record = trace_sink if trace_sink is not None else self.trace.append
         self.sessions: dict[int, Session] = {}
-        self._next_session_id = 1
         self._next_pair_id = 1
 
     # -- node positions at a given time ------------------------------------
@@ -450,22 +445,33 @@ class Network:
                 step(sess, **payload)
         self.engine.schedule(t, kind, guarded)
 
+    def _radio(self, sess: Session, src: np.ndarray, dst: np.ndarray,
+               event: str, payload: dict, kind: str,
+               step: Callable[[Session], None]) -> None:
+        """Radio a message from position src to dst: trace event with the
+        payload and its send_t and arrive_t, and run step on arrival."""
+        now = self.engine.now
+        arrive_t = now + geom.link_geometry(src, dst).propagation_delay
+        self._emit(sess.id, event,
+                   {**payload, "send_t": now, "arrive_t": arrive_t})
+        self._at(arrive_t, kind, step, sess)
+
     # -- step 1: terrestrial request ----------------------------------------
 
     def request(self, a_id: int, b_id: int, qubits: int, pairs_target: int,
-                policy: Optional[DistillationPolicy] = None,
-                t: Optional[float] = None) -> Session:
-        """Open a session and radio the request to the coordination tier."""
+                policy: Optional[DistillationPolicy] = None) -> Session:
+        """Open a session at engine.now and radio the request to the
+        coordination tier."""
         if a_id == b_id:
             raise ValueError("a session needs two distinct stations")
         if a_id not in self.stations or b_id not in self.stations:
             raise ValueError("unknown station id")
         check_count(qubits, "qubits", 1, COUNT_MAX)
         check_count(pairs_target, "pairs_target", 1, COUNT_MAX)
-        t0 = self.engine.now if t is None else float(t)
-        sess = Session(self._next_session_id, a_id, b_id, qubits, pairs_target,
+        now = self.engine.now
+        # sessions are never removed, so ids count up from 1
+        sess = Session(len(self.sessions) + 1, a_id, b_id, qubits, pairs_target,
                        policy or DistillationPolicy())
-        self._next_session_id += 1
         self.sessions[sess.id] = sess
         station_a = self.stations[a_id]
         station_b = self.stations[b_id]
@@ -479,21 +485,17 @@ class Network:
                                self.downlink_b, pairs_target)
         self._transition(sess, Phase.REQUESTED)
 
-        pos_a = self._station_pos(a_id, t0)
+        pos_a = self._station_pos(a_id, now)
         geos = [s for s in self.satellites.values() if s.tier is geom.Tier.GEO]
-        geo_id = geom.best_satellite(geos, [pos_a], t0, self.min_elevation)
+        geo_id = geom.best_satellite(geos, [pos_a], now, self.min_elevation)
         if geo_id is None:
             self._fail(sess, Failure.NO_COORDINATOR)
             return sess
         sess.geo_id = geo_id
-        pos_geo = self._sat_pos(geo_id, t0)
-        delay = geom.link_geometry(pos_a, pos_geo).propagation_delay
-        arrive_t = t0 + delay
-        self._emit(sess.id, "request_sent",
-                   {"from": a_id, "to": b_id, "geo": geo_id, "qubits": qubits,
-                    "pairs_target": pairs_target, "send_t": t0,
-                    "arrive_t": arrive_t})
-        self._at(arrive_t, "request_arrival", self._on_request_arrival, sess)
+        self._radio(sess, pos_a, self._sat_pos(geo_id, now), "request_sent",
+                    {"from": a_id, "to": b_id, "geo": geo_id, "qubits": qubits,
+                     "pairs_target": pairs_target},
+                    "request_arrival", self._on_request_arrival)
         return sess
 
     # -- step 2: coordination ------------------------------------------------
@@ -511,13 +513,10 @@ class Network:
         sess.leo_id = leo_id
         self._transition(sess, Phase.COORDINATING)
         self._emit(sess.id, "leo_selected", {"leo": leo_id})
-        delay = geom.link_geometry(self._sat_pos(sess.geo_id, now),
-                                   self._sat_pos(leo_id, now)).propagation_delay
-        arrive_t = now + delay
-        self._emit(sess.id, "leo_command_sent",
-                   {"geo": sess.geo_id, "leo": leo_id, "send_t": now,
-                    "arrive_t": arrive_t})
-        self._at(arrive_t, "leo_command_arrival", self._on_leo_command, sess)
+        self._radio(sess, self._sat_pos(sess.geo_id, now),
+                    self._sat_pos(leo_id, now), "leo_command_sent",
+                    {"geo": sess.geo_id, "leo": leo_id},
+                    "leo_command_arrival", self._on_leo_command)
 
     # -- step 3: entanglement distribution ------------------------------------
 
@@ -662,7 +661,6 @@ class Network:
         now = self.engine.now
         valid_ids = sess.pool.fresh_raw(now)
         yield_rate = self._session_yield_rate(sess)
-        sess.yield_rate_used = yield_rate
         m = distilled_count(len(valid_ids), yield_rate)
         if len(valid_ids) == 0 or m == 0:
             self._fail(sess, Failure.INSUFFICIENT_ENTANGLEMENT)
@@ -670,7 +668,6 @@ class Network:
         distilled_ids = range(self._next_pair_id, self._next_pair_id + m)
         self._next_pair_id += m
         sess.pool.replace_raw_with_distilled(distilled_ids, now)
-        sess.distilled_created += m
         self._emit(sess.id, "distill_completed",
                    {"n_valid": len(valid_ids), "distilled": m,
                     "yield_rate": yield_rate, "raw_consumed_ids": valid_ids,
@@ -686,9 +683,7 @@ class Network:
                    {"requested": sess.qubits_requested})
         consumed = sess.pool.consume_distilled(now, sess.qubits_requested)
         delivered = len(consumed)
-        sess.ebits_consumed += delivered
         sess.qubits_delivered += delivered
-        sess.classical_bits += 2 * delivered
         delivery_t = now + self._ground_chord(sess, now) / geom.C_LIGHT
         self._emit(sess.id, "teleport_completed",
                    {"requested": sess.qubits_requested, "delivered": delivered,
@@ -704,7 +699,7 @@ class Network:
         self._transition(sess, Phase.DONE)
         self._emit(sess.id, "session_done",
                    {"qubits_delivered": sess.qubits_delivered,
-                    "classical_bits": sess.classical_bits})
+                    "classical_bits": 2 * sess.qubits_delivered})
 
     # -- aggregate accounting ------------------------------------------------------
 
@@ -714,7 +709,8 @@ class Network:
                "sessions_done": 0, "sessions_failed": 0}
         for sess in self.sessions.values():
             out["qubits_delivered"] += sess.qubits_delivered
-            out["ebits_consumed"] += sess.ebits_consumed
+            # one ebit per teleported qubit
+            out["ebits_consumed"] += sess.qubits_delivered
             out["pairs_attempted"] += sess.pairs_attempted
             out["pairs_survived"] += sess.pairs_survived
             out["sessions_done"] += sess.phase is Phase.DONE

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -104,22 +103,6 @@ def mean_rate(model: ch.OpticalChannelModel, n_samples: int,
     return chunked_mean(rates_of, n_samples)
 
 
-@dataclass(frozen=True)
-class RateSurface:
-    """Mean rate over a (tx_waist, rx_radius) grid at fixed distance and b."""
-    tx_waists: tuple
-    rx_radii: tuple
-    distance: float
-    b: float
-    mean_rates: np.ndarray   # shape (len(tx_waists), len(rx_radii))
-
-    def __post_init__(self):
-        if self.mean_rates.shape != (len(self.tx_waists), len(self.rx_radii)):
-            raise ValueError("rate matrix shape does not match grid axes")
-        if not np.all(np.isfinite(self.mean_rates)) or np.any(self.mean_rates < 0):
-            raise ValueError("rates must be finite and >= 0")
-
-
 def _point_rate(tx_waist: float, rx_radius: float, distance: float, b: float,
                 wavelength: float, n_samples: int, seed: int,
                 i: int, j: int) -> float:
@@ -143,14 +126,15 @@ def _sweep_threads() -> int:
 
 def sweep(tx_waists: Sequence[float], rx_radii: Sequence[float], distance: float,
           b: float, wavelength: float = ch.DEFAULT_WAVELENGTH,
-          n_samples: int = 100_000, seed: int = DEFAULT_SEED) -> RateSurface:
-    """Mean-rate surface over the aperture grid.
+          n_samples: int = 100_000, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """Mean rates over the aperture grid at fixed distance and b, as a
+    matrix with rows indexed by tx waist and columns by rx radius.
 
     The grid points, in row-major order, are dealt round-robin into
     n = min(_sweep_threads(), points) shares: the calling thread computes
     share 0 and one thread each of the others.  Each grid point draws from
     an independent substream keyed by (i, j) and writes only its own cell,
-    so the surface is identical for any n.  A share stops at its first
+    so the matrix is identical for any n.  A share stops at its first
     failing point; once every thread is joined, the failure with the
     smallest grid index is raised, the one a point-by-point loop would raise.
     """
@@ -182,4 +166,4 @@ def sweep(tx_waists: Sequence[float], rx_radii: Sequence[float], distance: float
             thread.join()
     if failures:
         raise min(failures)[1]      # grid indices are distinct
-    return RateSurface(tuple(tx_waists), tuple(rx_radii), distance, b, rates)
+    return rates

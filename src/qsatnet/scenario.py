@@ -295,6 +295,6 @@ def run_scenario(scenario: Scenario, trace_sink=None):
     network = Network(engine, scenario.stations, scenario.satellites,
                       trace_sink=trace_sink, **scenario.network)
     if scenario.request is not None:
-        network.request(**scenario.request, t=0.0)
+        network.request(**scenario.request)
     engine.run_until(scenario.t_end)
     return network, network.summary()

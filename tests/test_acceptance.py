@@ -47,7 +47,7 @@ def test_criterion_1_geo_rate_bound():
                           list(np.linspace(0.125, 1.25, 10)),
                           distance=3.6e7, b=0.1, n_samples=100_000, seed=42)
     elapsed = time.monotonic() - t0
-    peak = float(surface.mean_rates.max())
+    peak = float(surface.max())
     report("criterion 1: coordination-tier rates stay below 0.05",
            peak < 0.05 and elapsed < 60.0,
            f"max={peak:.5f}, {elapsed:.1f}s")

@@ -187,6 +187,11 @@ class TestUplinkSampling:
         se = etas.std() / 1000.0
         assert abs(etas.mean() - closed) < 3.0 * se
 
+    def test_mean_with_gamma_past_float_range_is_its_limit(self):
+        # gamma = 1e12 / 4e-300 overflows to inf; gamma / (gamma + 1) -> 1
+        m = ch.UplinkPointingFade(0.5, 1e6, 1e-150)
+        assert ch.mean_uplink_transmittance(m) == 0.5
+
 
 class TestCalibration:
     def test_target_just_above_floor_gives_tiny_sigma(self):

@@ -489,6 +489,22 @@ class TestChannelSample:
         assert f"config error: {field}=" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--beam-radius-rx", "5e-324", "--calibrate-target-db", "20"],
+         "beam_radius_at_rx=5e-324 is too small to square"),
+        (["--beam-radius-rx", "1e-200", "--sigma-wander", "1e-200"],
+         "beam_radius_at_rx=1e-200 is too small to square"),
+        # the calibrated sigma would be 5e154, where 4 sigma**2 overflows
+        (["--beam-radius-rx", "1e150", "--calibrate-target-db", "100"],
+         "target 100.0 dB needs a wander beyond the float range"),
+    ])
+    def test_uplink_out_of_float_range_exits_2(self, capsys, flags, message):
+        assert run_cli(["channel-sample", "--model", "uplink", "--n", "2",
+                        *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flags, field", [
         (["--beam-radius-rx", "1e160", "--sigma-wander", "1.5"],
          "beam_radius_at_rx=1e+160"),

@@ -161,7 +161,7 @@ class TestSweep:
     def test_single_point_b_zero(self):
         surface = rates.sweep([0.25], [0.25], 200e3, 0.0, n_samples=10, seed=1)
         eta = ch.diffraction_transmittance(ch.BeamParams(0.25), 0.25, 200e3)
-        assert surface.mean_rates[0, 0] == rate_at(eta)
+        assert surface[0, 0] == rate_at(eta)
 
     def test_monotone_along_aperture_axes(self):
         # waist-axis monotonicity holds below the collimation optimum
@@ -172,7 +172,7 @@ class TestSweep:
         waists = list(np.linspace(0.1, 0.9 * w_opt, 5))
         rx = list(np.linspace(0.125, 1.25, 5))
         surface = rates.sweep(waists, rx, z, 0.1, n_samples=20_000, seed=3)
-        grid = surface.mean_rates
+        grid = surface
         assert np.all(np.diff(grid, axis=0) >= 0)
         assert np.all(np.diff(grid, axis=1) >= 0)
 
@@ -181,21 +181,21 @@ class TestSweep:
         waists = list(np.linspace(0.1, 1.0, 5))
         rx = list(np.linspace(0.125, 1.25, 5))
         surface = rates.sweep(waists, rx, 3.6e7, 0.1, n_samples=20_000, seed=3)
-        assert np.all(np.diff(surface.mean_rates, axis=0) >= 0)
-        assert np.all(np.diff(surface.mean_rates, axis=1) >= 0)
+        assert np.all(np.diff(surface, axis=0) >= 0)
+        assert np.all(np.diff(surface, axis=1) >= 0)
 
     def test_rx_axis_monotone_past_collimation_optimum(self):
         # receiver-axis monotonicity is unconditional
         surface = rates.sweep([0.6, 0.8, 1.0], [0.2, 0.7, 1.25], 1200e3, 0.1,
                               n_samples=20_000, seed=4)
-        assert np.all(np.diff(surface.mean_rates, axis=1) >= 0)
+        assert np.all(np.diff(surface, axis=1) >= 0)
 
     def test_distance_ordering_pointwise(self):
         waists = list(np.linspace(0.1, 1.0, 4))
         rx = list(np.linspace(0.125, 1.25, 4))
         near = rates.sweep(waists, rx, 1200e3, 0.1, n_samples=5000, seed=9)
         far = rates.sweep(waists, rx, 3.6e7, 0.1, n_samples=5000, seed=9)
-        assert np.all(near.mean_rates >= far.mean_rates)
+        assert np.all(near >= far)
 
     def test_parallel_bit_identical_to_serial(self, monkeypatch):
         # parallel: every usable CPU, up to SWEEP_THREADS; serial: one thread
@@ -204,7 +204,7 @@ class TestSweep:
         parallel = rates.sweep(waists, rx, 1200e3, 0.1, n_samples=10_000, seed=5)
         monkeypatch.setattr(rates, "SWEEP_THREADS", 1)
         serial = rates.sweep(waists, rx, 1200e3, 0.1, n_samples=10_000, seed=5)
-        assert np.array_equal(serial.mean_rates, parallel.mean_rates)
+        assert np.array_equal(serial, parallel)
 
     # 9 points on 1 to 4 threads: shares of 9, 5+4, 3+3+3 and 3+2+2+2
     # points; and more threads than points
@@ -233,7 +233,7 @@ class TestSweep:
                 ch.BeamParams(w, ch.DEFAULT_WAVELENGTH), r, distance), b),
             n, make_stream(seed, "rates", "sweep", i, j))
             for j, r in enumerate(rx)] for i, w in enumerate(waists)])
-        assert np.array_equal(surface.mean_rates, reference)
+        assert np.array_equal(surface, reference)
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_no_thread_outlives_sweep(self, monkeypatch, fails):
