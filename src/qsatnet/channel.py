@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -53,10 +53,22 @@ class BeamParams:
         return math.pi * self.w0**2 / self.wavelength
 
 
-def beam_radius(beam: BeamParams, z: float) -> float:
-    """Beam radius w(z) = w0 * sqrt(1 + (z*lambda/(pi*w0^2))^2), z >= 0."""
-    check_real(z, "z", 0)
+def _radius(beam: BeamParams, z: float) -> float:
+    """w(z) by the formula: ArithmeticError or inf past the float range."""
     return beam.w0 * math.sqrt(1.0 + (z / beam.rayleigh_range) ** 2)
+
+
+def beam_radius(beam: BeamParams, z: float) -> float:
+    """Beam radius w(z) = w0 * sqrt(1 + (z*lambda/(pi*w0^2))^2), z >= 0; a
+    ValueError names w0 or the distance that takes it past the float range."""
+    check_real(z, "z", 0)
+    try:
+        w = _radius(beam, z)
+    except ArithmeticError:
+        w = math.inf
+    if w == math.inf:
+        _check_budget(beam, z)      # raises: w0 or z is out of range
+    return w
 
 
 def diffraction_transmittance(beam: BeamParams, rx_radius: float, z: float) -> float:
@@ -69,32 +81,31 @@ def diffraction_transmittance(beam: BeamParams, rx_radius: float, z: float) -> f
     check_real(rx_radius, "rx_radius", 0, strict=True)
     check_real(z, "distance", 0, strict=True)
     try:
-        w = beam_radius(beam, z)
+        w = _radius(beam, z)       # inf gives the limit, transmittance 0
         return 1.0 - math.exp(-2.0 * rx_radius**2 / w**2)
     except ArithmeticError:
-        _check_budget(beam, rx_radius, z)
+        _check_budget(beam, z, rx_radius)
         raise
 
 
 def _squares(x: float) -> bool:
-    """Whether x**2 is a float; Python raises OverflowError where it is not."""
+    """Whether x**2 is finite; past the float range Python raises."""
     try:
-        x ** 2
+        return x ** 2 < math.inf
     except OverflowError:
         return False
-    return True
 
 
-def _check_budget(beam: BeamParams, rx_radius: float, distance: float) -> None:
-    """Raise a ValueError naming the field that takes the float arithmetic
-    of diffraction_transmittance out of range."""
+def _check_budget(beam: BeamParams, distance: float, rx_radius=0.0) -> None:
+    """Raise a ValueError naming the field that takes beam_radius, or with
+    rx_radius diffraction_transmittance, out of the float range."""
     if not _squares(beam.w0) or beam.rayleigh_range == 0.0:
         raise ValueError(f"w0={beam.w0!r} at wavelength={beam.wavelength!r} "
                          f"puts the Rayleigh range out of the float range")
     if not _squares(rx_radius):
         raise ValueError(f"rx_radius={rx_radius!r} is too large to square")
     if not (_squares(distance / beam.rayleigh_range)
-            and _squares(beam_radius(beam, distance))):
+            and _squares(_radius(beam, distance))):
         raise ValueError(f"distance={distance!r} spreads the beam out of "
                          f"the float range")
 
@@ -160,46 +171,43 @@ class UplinkPointingFade:
 OpticalChannelModel = Union[FixedDiffraction, DownlinkGaussianTail, UplinkPointingFade]
 
 
-def sample_downlink(model: DownlinkGaussianTail, rng: RngStream,
-                    n: Optional[int] = None):
-    """Draw eta = eta0 * clamp(1 - |G|, 0, 1), G ~ Normal(0, b^2).
-
-    b = 0 returns eta0 exactly without consuming the stream.  Scalar for
-    n=None, else an ndarray of n independent draws.
-    """
-    if model.b == 0.0:
-        return model.eta0 if n is None else np.full(
-            check_count(n, "draw count", 0, COUNT_MAX), model.eta0)
+def sample_downlink(model: DownlinkGaussianTail, rng: RngStream, n: int):
+    """n draws of eta = eta0 * clamp(1 - |G|, 0, 1), G ~ Normal(0, b^2):
+    every b draws n normals from the stream, and b = 0 gives eta0 exactly."""
     # mapped in place over the normals this call owns; 1 - |G| b <= 1 for
-    # finite G, so clamping below at 0 is the whole clamp
-    eta = rng.standard_normal(1 if n is None else n)
+    # finite G, so clamping below at 0 is the whole clamp.  A |G| b past the
+    # float range clamps to 0, the limit of the overflow and its exact value
+    eta = rng.standard_normal(n)
     np.abs(eta, out=eta)
-    eta *= model.b
+    with np.errstate(over="ignore"):
+        eta *= model.b
     np.subtract(1.0, eta, out=eta)
     np.maximum(eta, 0.0, out=eta)
     eta *= model.eta0
-    return float(eta[0]) if n is None else eta
+    return eta
 
 
 def fade_interval(model: UplinkPointingFade, t):
     """Index k of the coherence interval [k*tau, (k+1)*tau) containing t:
     an int for a float t, an int64 array for an array of times."""
-    k = np.floor(np.asarray(t, dtype=float) / model.fade_coherence_time)
+    with np.errstate(over="ignore"):        # inf is rejected below
+        k = np.floor(np.asarray(t, dtype=float) / model.fade_coherence_time)
     if not np.all(np.abs(k) < 2.0**63):
         raise ValueError("t must be finite and within 2**63 intervals of 0")
     return int(k) if k.ndim == 0 else k.astype(np.int64)
 
 
 def _fades_at(model: UplinkPointingFade, rng: RngStream, intervals):
-    """Transmittances of the coherence intervals with the given indices."""
-    if model.sigma_wander == 0.0:
-        return np.full(np.shape(intervals), model.eta_diffraction)
+    """Transmittances of the coherence intervals with the given indices:
+    every sigma_wander reads the stream, and 0 gives eta_diffraction."""
     u = rng.uniforms_at(intervals)
     # Rayleigh inverse CDF; u in [0, 1) keeps the log argument in (0, 1]
     r = model.sigma_wander * np.sqrt(-2.0 * np.log1p(-u))
-    # C pow(r, 2.0), as pinned; r**2, r*r and np.square round differently
-    return model.eta_diffraction * np.exp(
-        -2.0 * np.float_power(r, 2.0) / model.beam_radius_at_rx**2)
+    # C pow(r, 2.0), as pinned; r**2, r*r and np.square round differently.
+    # An exponent past the float range is -inf: its limit 0 is exact
+    with np.errstate(over="ignore"):
+        exponent = -2.0 * np.float_power(r, 2.0) / model.beam_radius_at_rx**2
+    return model.eta_diffraction * np.exp(exponent)
 
 
 def sample_uplink(model: UplinkPointingFade, rng: RngStream, t):
@@ -215,9 +223,10 @@ def sample_uplink(model: UplinkPointingFade, rng: RngStream, t):
 
 def uplink_interval_samples(model: UplinkPointingFade, rng: RngStream,
                             n: int, start: int = 0) -> np.ndarray:
-    """Transmittances of coherence intervals start .. start+n-1: the values
-    that sample_uplink gives at every t with fade_interval(t) = k."""
+    """Transmittances of coherence intervals start .. start+n-1 < 2**63: the
+    values that sample_uplink gives at every t with fade_interval(t) = k."""
     n = check_count(n, "draw count", 0, COUNT_MAX)
+    start = check_count(start, "start", -2**63, 2**63 - 1 - n)
     return _fades_at(model, rng, np.arange(start, start + n))
 
 
@@ -241,10 +250,9 @@ def calibrate_uplink_sigma(eta_diffraction: float, beam_radius_at_rx: float,
     sigma) until the bracket collapses; the returned sigma reproduces the
     target well inside 0.01 dB.  Raises InfeasibleTargetError when the
     target is below the pure-diffraction loss, or when only a sigma whose
-    4 sigma**2 overflows would reach it.
+    4 sigma**2 overflows, or whose sigma**2 underflows, would reach it.
     """
-    check_real(eta_diffraction, "eta_diffraction", 0.0, 1.0)
-    check_real(beam_radius_at_rx, "beam_radius_at_rx", 0, strict=True)
+    UplinkPointingFade(eta_diffraction, beam_radius_at_rx, 0.0)  # checks both
     check_real(target_mean_loss_db, "target_mean_loss_db")
     floor_db = db_from_eta(eta_diffraction)
     if target_mean_loss_db < floor_db:
@@ -255,6 +263,9 @@ def calibrate_uplink_sigma(eta_diffraction: float, beam_radius_at_rx: float,
         return 0.0
 
     def loss_at(sigma: float) -> float:
+        if sigma and sigma * sigma == 0.0:  # the model rejects such a sigma
+            raise InfeasibleTargetError(f"target {target_mean_loss_db} dB "
+                                        f"needs a wander below the float range")
         return db_from_eta(mean_uplink_transmittance(UplinkPointingFade(
             eta_diffraction, beam_radius_at_rx, sigma)))
 

@@ -175,7 +175,7 @@ def _cmd_channel_sample(args) -> None:
     if isinstance(model, ch.FixedDiffraction):
         etas = np.full(args.n, model.eta)
     elif isinstance(model, ch.DownlinkGaussianTail):
-        etas = np.asarray(ch.sample_downlink(model, rng, args.n))
+        etas = ch.sample_downlink(model, rng, args.n)
     else:
         times *= (model.fade_coherence_time if args.t_step is None
                   else args.t_step)

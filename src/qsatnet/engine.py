@@ -141,19 +141,15 @@ def derive_key(root_seed: int, parts: tuple) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def _count(n: Optional[int]) -> int:
-    """Number of values a sequential draw returns (1 for a scalar draw)."""
-    return 1 if n is None else check_count(n, "draw count", 0, COUNT_MAX)
-
-
 class RngStream:
     """One keyed random stream with sequential and indexed access.
 
-    Sequential draws advance the internal counter; ``uniform_at`` reads the
-    value at an absolute counter index without moving it.  A stream used for
-    indexed access should not also be drawn from sequentially (the two views
-    share the same counter line).  A single stream must not be shared across
-    concurrent callers; derive one stream per worker instead.
+    Sequential draws of n values return an ndarray and advance the counter;
+    ``uniform_at`` reads the value at an absolute counter index without
+    moving it.  A stream used for indexed access should not also be drawn
+    from sequentially (the two views share the same counter line).  A
+    single stream must not be shared across concurrent callers; derive one
+    stream per worker instead.
     """
 
     def __init__(self, key: int):
@@ -170,21 +166,20 @@ class RngStream:
         idx += np.uint64(self._base(0))
         return _unit_mix(idx, 2.0**-53)
 
-    def random(self, n: Optional[int] = None):
-        """Uniform draws in [0, 1); one counter slot per value."""
-        c, m = self._counter, _count(n)
+    def random(self, n: int) -> np.ndarray:
+        """n uniform draws in [0, 1); one counter slot per value."""
+        c, m = self._counter, check_count(n, "draw count", 0, COUNT_MAX)
         self._counter += m
-        u = self._uniforms(np.arange(c, c + m, dtype=np.uint64))
-        return float(u[0]) if n is None else u
+        return self._uniforms(np.arange(c, c + m, dtype=np.uint64))
 
-    def standard_normal(self, n: Optional[int] = None):
-        """Normal draws via Box-Muller; two counter slots per value.
+    def standard_normal(self, n: int) -> np.ndarray:
+        """n normal draws via Box-Muller; two counter slots per value.
 
         Value k takes its radius from slot c + 2k and its angle from slot
         c + 2k + 1.  Both rows of slots are mixed in one pass over a (2, m)
         array and scaled by one column, then transformed in place.
         """
-        c, m = self._counter, _count(n)
+        c, m = self._counter, check_count(n, "draw count", 0, COUNT_MAX)
         self._counter += 2 * m
         x = np.arange(m, dtype=np.uint64)
         x *= np.uint64((2 * _GOLDEN) & _MASK64)
@@ -196,8 +191,7 @@ class RngStream:
         z *= -2.0
         np.sqrt(z, out=z)
         np.cos(angle, out=angle)
-        z = z * angle      # a new array that owns exactly its m values
-        return float(z[0]) if n is None else z
+        return z * angle   # a new array that owns exactly its m values
 
     def uniform_at(self, index: int) -> float:
         """Uniform in [0, 1) at an absolute counter index (stateless)."""

@@ -44,17 +44,11 @@ def rci_array(eta) -> np.ndarray:
     unless every eta is in [0, 1]; NaN is out of range.
     """
     eta = np.asarray(eta, dtype=float)
-    top = 0.0
-    if eta.size:
-        top = eta.max()
-        if not (eta.min() >= 0.0 and top <= 1.0):
-            raise ValueError(f"eta must be in [0, 1], got values from "
-                             f"{eta.min()} to {top}")
+    if eta.size and not (eta.min() >= 0.0 and eta.max() <= 1.0):
+        raise ValueError(f"eta must be in [0, 1], got values from "
+                         f"{eta.min()} to {eta.max()}")
     out = np.negative(eta, out=np.empty_like(eta))
-    if top == 1.0:              # log1p(-1) = -inf, capped below
-        with np.errstate(divide="ignore"):
-            np.log1p(out, out=out)
-    else:
+    with np.errstate(divide="ignore"):     # log1p(-1) = -inf, capped below
         np.log1p(out, out=out)
     np.divide(out, -LN2, out=out)
     return np.minimum(out, RATE_SATURATION, out=out)

@@ -93,8 +93,8 @@ class TestDownlinkSampling:
     def test_b_zero_is_degenerate(self):
         model = ch.DownlinkGaussianTail(0.3, 0.0)
         rng = make_stream(1, "dl")
-        assert ch.sample_downlink(model, rng) == 0.3
         assert np.all(ch.sample_downlink(model, rng, 10) == 0.3)
+        assert rng._counter == 20
 
     def test_samples_bounded(self):
         model = ch.DownlinkGaussianTail(0.3, 0.5)
@@ -159,6 +159,17 @@ class TestUplinkSampling:
         scalar = [ch.sample_uplink(m, rng, t) for t in times[:64]]
         assert np.array_equal(bulk[:64], np.array(scalar))
         assert scalar == list(timed[:64])
+
+    def test_interval_start_stays_in_int64(self):
+        m, rng = self.model(), make_stream(9, "ul")
+        # the first and the last three intervals numpy counts in int64
+        for start in (-2**63, 2**63 - 4):
+            etas = ch.uplink_interval_samples(m, rng, 3, start)
+            assert etas.shape == (3,)
+            assert np.all((etas >= 0.0) & (etas <= m.eta_diffraction))
+        for start in (2**63 - 3, -2**63 - 1, 0.5):
+            with pytest.raises(ValueError, match="start must be an integer"):
+                ch.uplink_interval_samples(m, rng, 3, start)
 
     def test_fade_interval_scalar_and_array(self):
         m = self.model()

@@ -44,7 +44,7 @@ class TestRun:
         # 37-pair batches do not fill a draw chunk exactly
         ("batch_size = 37\n",
          "449eaf9c0fe270f20527d43b766e13093a5f63f31a4127a39d2694170f1ebc9e"),
-        # b = 0: the arm fades consume no stream
+        # b = 0: the arm fades draw their streams and read the floor
         ("downlink_b = 0.0\nbatch_size = 100\n",
          "27a11406591a3916ea2e27676729613f37dead44ba87906def467c582eb54664"),
         # the session yield's Monte-Carlo mean at and around its chunk edge
@@ -497,6 +497,10 @@ class TestChannelSample:
         # the calibrated sigma would be 5e154, where 4 sigma**2 overflows
         (["--beam-radius-rx", "1e150", "--calibrate-target-db", "100"],
          "target 100.0 dB needs a wander beyond the float range"),
+        # the calibrated sigma would be 1.5625e-162, whose square underflows
+        (["--eta-diffraction", "1", "--beam-radius-rx", "1e-160",
+          "--calibrate-target-db", "1e-300"],
+         "target 1e-300 dB needs a wander below the float range"),
     ])
     def test_uplink_out_of_float_range_exits_2(self, capsys, flags, message):
         assert run_cli(["channel-sample", "--model", "uplink", "--n", "2",
@@ -520,6 +524,25 @@ class TestChannelSample:
         assert capsys.readouterr().err == (
             f"config error: {field} is too large to square\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["channel-sample", "--model", "downlink", "--b", "1e308",
+         "--n", "1000"],
+        ["rates-sweep", "--distance", "1e6", "--b", "1e308", "--samples",
+         "1000", "--waist-grid", "0.1", "--rx-grid", "0.1"],
+        ["channel-sample", "--model", "uplink", "--beam-radius-rx", "1e-150",
+         "--sigma-wander", "1e6", "--n", "3"],
+    ])
+    def test_overflowing_fade_reads_zero(self, capsys, argv):
+        # the limit of the overflow, transmittance 0, with no warning line
+        assert run_cli(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header, *rows = captured.out.splitlines()
+        column = 1 if argv[0] == "channel-sample" else -1   # eta, or rate
+        assert header.split(",")[column] in ("eta", "mean_rate_ebits")
+        assert rows and all(float(row.split(",")[column]) == 0.0
+                            for row in rows)
 
     def test_lossless_row_reads_positive_zero_db(self, tmp_path):
         out = tmp_path / "lossless.csv"

@@ -1,13 +1,14 @@
 """Every name the benchmark's layer tracer wraps exists in the package, and
-a traced batched run and a traced threaded sweep call every layer the
-benchmark predicts for them.
+a traced run of each benchmark workload (a batched run, a threaded sweep, a
+calibrated uplink sample and a packet round trip) calls every layer the
+benchmark predicts for it.
 
 The tracer records a name it cannot find as missing instead of failing, so
 a refactor that drops or moves a wrapped name (say ``qsatnet.proto:rci_array``)
 would otherwise surface only in a later benchmark run.  The first test
 resolves each target with the tracer's own lookup and installs no wrapper;
-the others install the tracer and run a small batched scenario or a small
-sweep, so a change that stops calling a predicted layer (say
+the others install the tracer and run a small version of each workload,
+so a change that stops calling a predicted layer (say
 ``geom.ground_position``, or ``channel.sample_downlink`` from a kernel that
 draws around it) fails here too.
 """
@@ -46,19 +47,27 @@ def test_traced_target_resolves(target):
     assert Path(module.__file__).resolve().is_relative_to(SRC)
 
 
-def traced_main(argv):
-    """The layer snapshot of one cli.main call under the tracer."""
-    cli = importlib.import_module("qsatnet.cli")
+def traced(call):
+    """The layer snapshot of call() under the tracer; call looks up the
+    package's functions after install, so it enters through the wrappers."""
     layers = tracer.Tracer()
     layers.install()
     try:
-        # looked up after install, so the call enters through the wrapper
-        rc = cli.main(argv)
+        call()
     finally:
         layers.uninstall()
-    assert rc == 0
     assert layers.missing == []
     return layers.snapshot()
+
+
+def traced_main(argv):
+    """The layer snapshot of one cli.main call under the tracer."""
+    cli = importlib.import_module("qsatnet.cli")
+
+    def call():
+        assert cli.main(argv) == 0
+
+    return traced(call)
 
 
 def assert_predicted_layers_called(snapshot, workload):
@@ -98,3 +107,25 @@ def test_traced_threaded_sweep_calls_every_predicted_layer(tmp_path,
                  "rates.rci_array"):
         assert (snapshot[name]["calls"], snapshot[name]["items"]) == \
             (8, 4 * samples), name
+
+
+def test_traced_uplink_sample_calls_every_predicted_layer(tmp_path):
+    snapshot = traced_main(["channel-sample", "--model", "uplink",
+                            "--calibrate-target-db", "20", "--n", "1000",
+                            "--output", str(tmp_path / "uplink.csv")])
+    assert_predicted_layers_called(snapshot, "uplink-sample")
+
+
+def test_traced_packet_round_trip_calls_every_predicted_layer():
+    pk = importlib.import_module("qsatnet.packet")
+    spec = {"requesting_station_id": 1, "receiving_station_id": 2,
+            "transmit_time_ns": 3,
+            "qubits": [{"qubit_id": k, "entanglement_group": 7}
+                       for k in range(3)]}
+
+    def call():
+        back = pk.packet_to_dict(pk.decode(pk.encode(pk.packet_from_dict(
+            spec))))
+        assert back["qubits"] == [{**q, "encoding": 0} for q in spec["qubits"]]
+
+    assert_predicted_layers_called(traced(call), "packet-codec")
