@@ -47,6 +47,9 @@ class BeamParams:
     def __post_init__(self):
         check_real(self.w0, "w0", 0, strict=True)
         check_real(self.wavelength, "wavelength", 0, strict=True)
+        if not _squares(self.w0) or self.rayleigh_range == 0.0:
+            raise ValueError(f"w0={self.w0!r} at wavelength={self.wavelength!r}"
+                             f" puts the Rayleigh range out of the float range")
 
     @property
     def rayleigh_range(self) -> float:
@@ -98,10 +101,8 @@ def _squares(x: float) -> bool:
 
 def _check_budget(beam: BeamParams, distance: float, rx_radius=0.0) -> None:
     """Raise a ValueError naming the field that takes beam_radius, or with
-    rx_radius diffraction_transmittance, out of the float range."""
-    if not _squares(beam.w0) or beam.rayleigh_range == 0.0:
-        raise ValueError(f"w0={beam.w0!r} at wavelength={beam.wavelength!r} "
-                         f"puts the Rayleigh range out of the float range")
+    rx_radius diffraction_transmittance, out of the float range; the beam
+    checks its own Rayleigh range."""
     if not _squares(rx_radius):
         raise ValueError(f"rx_radius={rx_radius!r} is too large to square")
     if not (_squares(distance / beam.rayleigh_range)

@@ -165,10 +165,14 @@ def _cmd_channel_sample(args) -> None:
                         "waist", "rx_radius", "beam_radius_rx"),
                  ("b", "sigma_wander", "calibrate_target_db"),
                  ("eta0", "eta_diffraction"))
-    if (args.model == "uplink" and args.t_step is not None
-            and (args.n - 1) * args.t_step / args.fade_coherence >= 2.0**63):
-        raise ValueError(f"--t-step {args.t_step} puts sample {args.n - 1} "
-                         f"past 2**63 fade intervals")
+    # the uplink row step, and the flag that set it; a last row time past
+    # the float range is inf here, and so past any interval count
+    step, step_flag = ((args.fade_coherence, "--fade-coherence")
+                       if args.t_step is None else (args.t_step, "--t-step"))
+    if (args.model == "uplink"
+            and (args.n - 1) * step / args.fade_coherence >= 2.0**63):
+        raise ValueError(f"{step_flag} {step} puts sample {args.n - 1} past "
+                         f"2**63 fade intervals or the float range")
     model = _build_channel_model(args)
     rng = make_stream(_seed(args), "channel-sample", args.model)
     times = np.arange(args.n, dtype=float)
@@ -177,11 +181,11 @@ def _cmd_channel_sample(args) -> None:
     elif isinstance(model, ch.DownlinkGaussianTail):
         etas = ch.sample_downlink(model, rng, args.n)
     else:
-        times *= (model.fade_coherence_time if args.t_step is None
-                  else args.t_step)
+        times *= step
         etas = ch.sample_uplink(model, rng, times)
     with _output(args.output) as out:
-        rows = ((float(t), float(e)) for t, e in zip(times, etas))
+        # a float64 memoryview yields Python floats: no numpy scalar per value
+        rows = zip(memoryview(times), memoryview(etas))
         if args.format == "jsonl":
             for t, e in rows:
                 out.write(_jsonl({"t": t, "eta": e,

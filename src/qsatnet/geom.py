@@ -15,6 +15,7 @@ row through ``np.vecdot``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -31,6 +32,9 @@ GEO_ALTITUDE = 3.6e7           # coordination-tier link distance [m]
 LEO_ALTITUDE_MIN = 500e3       # [m]
 LEO_ALTITUDE_MAX = 1200e3      # [m]
 DEFAULT_MIN_ELEVATION = math.radians(10.0)  # optical ground-station horizon mask
+# the shortest length whose square is a normal float; below it the square
+# loses precision and lengths and directions read wrong
+MIN_LENGTH = math.sqrt(sys.float_info.min)  # about 1.5e-154 m
 
 
 class Tier(Enum):
@@ -98,13 +102,20 @@ class LinkGeometry:
     propagation_delay: float
 
 
-def _times(t) -> np.ndarray:
-    """t, a time or an array of times [s], as a 1-D float array; every
-    time must be finite and >= 0."""
+def _times(t):
+    """t, a time or an array of times [s], as a 1-D float array, and its
+    latest time; every time must be finite and >= 0."""
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    for extreme in (times.min(), times.max()):
-        check_real(float(extreme), "t", 0)
-    return times
+    check_real(float(times.min()), "t", 0)
+    return times, check_real(float(times.max()), "t", 0)
+
+
+def _check_angle(start: float, rate: float, latest: float, name: str) -> None:
+    """An angle start + rate * t, rate >= 0, is largest at the latest t;
+    a ValueError names the field when that angle is past the float range."""
+    if start + rate * latest == math.inf:
+        raise ValueError(f"{name}={start!r} at t={latest!r} puts the angle "
+                         f"past the float range")
 
 
 def _per_element(fn, x: np.ndarray) -> np.ndarray:
@@ -120,9 +131,11 @@ def satellite_position(sat: Satellite, t) -> np.ndarray:
     Uniform circular motion: in-plane angle from the ascending node is
     phase_at_epoch + sqrt(mu/r^3) * t, rotated by inclination then RAAN.
     """
-    times = _times(t)
+    times, latest = _times(t)
     r = sat.orbital_radius
-    theta = sat.phase_at_epoch + math.sqrt(MU_EARTH / r**3) * times
+    rate = math.sqrt(MU_EARTH / r**3)
+    _check_angle(sat.phase_at_epoch, rate, latest, "phase_at_epoch")
+    theta = sat.phase_at_epoch + rate * times
     cos_t, sin_t = _per_element(math.cos, theta), _per_element(math.sin, theta)
     cos_i, sin_i = math.cos(sat.inclination), math.sin(sat.inclination)
     cos_o, sin_o = math.cos(sat.raan), math.sin(sat.raan)
@@ -140,14 +153,24 @@ def ground_position(gs: GroundStation, t=0.0,
     With earth_rotation the longitude advances at the sidereal rate;
     otherwise the position is time-independent.
     """
-    times = _times(t)
-    lon = gs.longitude + (SIDEREAL_RATE if earth_rotation else 0.0) * times
+    times, latest = _times(t)
+    rate = SIDEREAL_RATE if earth_rotation else 0.0
+    _check_angle(gs.longitude, rate, latest, "longitude")
+    lon = gs.longitude + rate * times
     cos_lat = math.cos(gs.latitude)
     rows = R_EARTH * np.column_stack((
         cos_lat * _per_element(math.cos, lon),
         cos_lat * _per_element(math.sin, lon),
         np.full(len(times), math.sin(gs.latitude))))
     return rows if np.ndim(t) else rows[0]
+
+
+def _check_distance(distance, name: str, origin: str) -> None:
+    """A ValueError names the position whose distance from origin, or any
+    row's, is below MIN_LENGTH or not finite."""
+    if not np.all((distance >= MIN_LENGTH) & (distance < math.inf)):
+        raise ValueError(f"{name} must be finite, at a distance from {origin} "
+                         f"whose square is a finite normal float")
 
 
 def line_of_sight(ground_pos: np.ndarray, target_pos: np.ndarray):
@@ -157,13 +180,18 @@ def line_of_sight(ground_pos: np.ndarray, target_pos: np.ndarray):
 
     sqrt(vecdot(x, x)) is what the 1-D np.linalg.norm computes, with the
     same dot kernel, so each row equals the call on that row's positions.
+    A ValueError names ground_pos when its distance from the origin is
+    below MIN_LENGTH or not finite, and target_pos when its distance from
+    ground_pos is.
     """
     ground = np.asarray(ground_pos, dtype=float)
-    los = np.asarray(target_pos, dtype=float) - ground
-    distance = np.sqrt(np.vecdot(los, los))
-    if np.any(distance == 0.0):
-        raise ValueError("coincident points: elevation undefined")
-    up = ground / np.sqrt(np.vecdot(ground, ground))[..., np.newaxis]
+    with np.errstate(over="ignore", invalid="ignore"):   # rejected below
+        los = np.asarray(target_pos, dtype=float) - ground
+        distance = np.sqrt(np.vecdot(los, los))
+        height = np.sqrt(np.vecdot(ground, ground))
+    _check_distance(height, "ground_pos", "the origin")
+    _check_distance(distance, "target_pos", "ground_pos")
+    up = ground / height[..., np.newaxis]
     sin_el = np.vecdot(los, up) / distance
     elevation = _per_element(lambda s: math.asin(min(1.0, max(-1.0, s))),
                              np.atleast_1d(sin_el))
@@ -181,9 +209,9 @@ def link_geometry(pos_a: np.ndarray, pos_b: np.ndarray) -> LinkGeometry:
     """Distance and light-time delay between two positions."""
     a = np.asarray(pos_a, dtype=float)
     b = np.asarray(pos_b, dtype=float)
-    d = float(np.linalg.norm(b - a))
-    if d == 0.0:
-        raise ValueError("coincident points: link geometry undefined")
+    with np.errstate(over="ignore", invalid="ignore"):   # rejected below
+        d = float(np.linalg.norm(b - a))
+    _check_distance(d, "pos_b", "pos_a")
     return LinkGeometry(distance=d, propagation_delay=d / C_LIGHT)
 
 
@@ -195,19 +223,16 @@ def best_satellite(candidates: Sequence[Satellite],
 
     Only candidates at or above min_elevation from every position qualify;
     ties break to the lowest satellite id.  None when no candidate qualifies.
+    min_elevation must be finite and in [-pi/2, pi/2].
     """
-    best_id = None
-    best_score = -math.inf
+    check_real(min_elevation, "min_elevation", -math.pi / 2, math.pi / 2)
+    ranked = []                 # (score, -id): max takes the lowest id on ties
     for sat in candidates:
         pos_s = satellite_position(sat, t)
         score = min(elevation_angle(g, pos_s) for g in ground_positions)
-        if score < min_elevation:
-            continue
-        if score > best_score or (score == best_score and
-                                  (best_id is None or sat.id < best_id)):
-            best_score = score
-            best_id = sat.id
-    return best_id
+        if score >= min_elevation:
+            ranked.append((score, -sat.id))
+    return -max(ranked)[1] if ranked else None
 
 
 def select_leo(candidates: Sequence[Satellite], gs_a: GroundStation,

@@ -32,10 +32,10 @@ dispatch per record.
 Distribution is planned ahead in chunks.  When a session's batch event
 finds no planned batch left, Network._plan plans the next chunk: as many
 batches as fit in DRAW_CHUNK pairs, and always at least one.  Their times
-chain as t + n / source_rate_hz in Python floats, exactly as the batch
-events are scheduled.  The relay and station positions and both arms'
-slant ranges and elevations come from one array call each (see geom); each
-arm's eta0 comes from one diffraction_transmittance call per batch; and one
+chain as t + n / source_rate_hz, and batch events run at their planned
+times.  The relay and station positions and both arms' slant ranges and
+elevations come from one array call each (see geom); each arm's eta0
+comes from one diffraction_transmittance call per batch; and one
 sample_pair_survival call covers the chunk's pairs, each pair at its own
 batch's eta0 (np.repeat), with survivors counted per batch by
 np.add.reduceat.  A batch event then reads one planned row.  Every planned
@@ -529,9 +529,9 @@ class Network:
         """The session's next batches from time t, planned as one chunk
         (see the module docstring).
 
-        Each row is (pairs, survivors, eta0_a, eta0_b, slant_a, slant_b) of
-        one batch.  A final None marks the batch that finds the relay below
-        the minimum elevation; nothing is planned past it.
+        Rows are (pairs, survivors, eta0_a, eta0_b, slant_a, slant_b, next_t)
+        per batch, next_t the next batch's time.  A final None marks the
+        batch that finds the relay below the mask; nothing is planned past it.
         """
         times, sizes, pairs = [], [], 0
         left = sess.pairs_target - sess.pairs_attempted
@@ -545,6 +545,7 @@ class Network:
             pairs += n
             left -= n
             t = t + n / self.source_rate_hz
+        next_times = times[1:] + [t]
         times = np.array(times)
         leo = self.satellites[sess.leo_id]
         pos_leo = geom.satellite_position(leo, times)
@@ -568,7 +569,7 @@ class Network:
                 sess.draws, *(np.repeat(e, sizes) for e in eta0), sum(sizes))
             survivors = np.add.reduceat(survive, np.cumsum([0] + sizes[:-1]),
                                         dtype=np.int64).tolist()
-        plan = deque(zip(sizes, survivors, *eta0, *slant))
+        plan = deque(zip(sizes, survivors, *eta0, *slant, next_times))
         if visible < len(times):
             plan.append(None)
         return plan
@@ -592,7 +593,7 @@ class Network:
                 self._fail(sess, Failure.LINK_LOST)
             return
 
-        n, survivors, eta0_a, eta0_b, slant_a, slant_b = batch
+        n, survivors, eta0_a, eta0_b, slant_a, slant_b, next_t = batch
         pair_ids = range(self._next_pair_id, self._next_pair_id + survivors)
         self._next_pair_id += survivors
         # x / c is monotonic in x, so this is the later arm's light time
@@ -611,8 +612,7 @@ class Network:
         self._at(arrival_t, "pairs_arrival", self._on_deposit, sess,
                  pair_ids=pair_ids)
         if not sess.distribution_done:
-            self._at(now + n / self.source_rate_hz, "distribution_batch",
-                     self._on_batch, sess)
+            self._at(next_t, "distribution_batch", self._on_batch, sess)
 
     def _on_deposit(self, sess: Session, pair_ids: range) -> None:
         sess.pending_deposits -= 1

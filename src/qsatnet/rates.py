@@ -93,7 +93,7 @@ def mean_rate(model: ch.OpticalChannelModel, n_samples: int,
     else:
         raise TypeError(f"unsupported channel model {model!r}")
     if rng is None:
-        raise ValueError("a random stream is required for a fading model")
+        raise ValueError("rng must be a random stream for a fading model")
     return chunked_mean(rates_of, n_samples)
 
 

@@ -209,6 +209,7 @@ class TestCalibration:
         floor = ch.db_from_eta(0.5)
         sigma = ch.calibrate_uplink_sigma(0.5, 1.0, floor + 1e-9)
         assert sigma < 1e-4
+        assert ch.calibrate_uplink_sigma(0.5, 1.0, floor) == 0.0
 
     def test_spec_point_20db(self):
         # gamma/(gamma+1) = 0.02 with w = 1 m gives sigma = 3.5 m exactly
@@ -273,6 +274,13 @@ class TestModelValidation:
             ch.diffraction_transmittance(ch.BeamParams(w0), rx, z)
         with pytest.raises(ValueError, match=f"^{field}="):
             ch.FixedDiffraction(ch.BeamParams(w0), rx, z).eta
+
+    @pytest.mark.parametrize("w0", [1e200, 1e-300])
+    def test_rayleigh_range_checked_when_built(self, w0):
+        # w0**2 overflows, or the Rayleigh range underflows to 0
+        with pytest.raises(ValueError) as err:
+            ch.BeamParams(w0)
+        assert str(err.value).startswith(f"w0={w0!r} at wavelength=")
 
     @pytest.mark.parametrize("rx, z, field", [
         (math.inf, 1e6, "rx_radius"),     # would give eta = 1

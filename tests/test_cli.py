@@ -283,7 +283,7 @@ class TestRatesSweep:
         assert run_cli(["rates-sweep", "--distance", "1e6",
                         "--waist-grid", "0.1:0.5", "--rx-grid", "0.2"]) == 2
         # text that is not a number, or a bound out of the float range
-        for grid in ("a:b:3", "0.1:1:x", "0.1,abc", "0.1:1e400:3"):
+        for grid in ("a:b:3", "0.1:1:x", "0.1,abc", "0.1:1e400:3", ","):
             capsys.readouterr()
             assert run_cli(["rates-sweep", "--distance", "1e6",
                             "--waist-grid", grid, "--rx-grid", "0.2"]) == 2
@@ -501,6 +501,10 @@ class TestChannelSample:
         (["--eta-diffraction", "1", "--beam-radius-rx", "1e-160",
           "--calibrate-target-db", "1e-300"],
          "target 1e-300 dB needs a wander below the float range"),
+        # the default row step puts the last row's time past the float range
+        (["--sigma-wander", "0.3", "--fade-coherence", "1e308", "--n", "3"],
+         "--fade-coherence 1e+308 puts sample 2 past 2**63 fade intervals "
+         "or the float range"),
     ])
     def test_uplink_out_of_float_range_exits_2(self, capsys, flags, message):
         assert run_cli(["channel-sample", "--model", "uplink", "--n", "2",
@@ -562,6 +566,12 @@ class TestChannelSample:
         assert run_cli(["channel-sample", "--model", "uplink",
                         "--eta-diffraction", "0.5", "--beam-radius-rx", "1.0",
                         "--calibrate-target-db", "1.0"]) == 2
+
+    def test_uplink_without_wander_exits_2(self, capsys):
+        assert run_cli(["channel-sample", "--model", "uplink", "--n", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: uplink model needs --sigma-wander or "
+            "--calibrate-target-db\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["channel-sample", "--model", "downlink", "--eta0", "0.25",

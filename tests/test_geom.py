@@ -133,6 +133,14 @@ class TestLinkGeometry:
         with pytest.raises(ValueError):
             link_geometry(p, p.copy())
 
+    def test_length_with_subnormal_square_rejected(self):
+        # the square rounds: straight up read 1.119 rad, and the distance
+        # 3e-162 read 3.16e-162
+        with pytest.raises(ValueError, match="^ground_pos must be finite"):
+            geom.line_of_sight([2e-162, 0.0, 0.0], [1e7, 0.0, 0.0])
+        with pytest.raises(ValueError, match="^pos_b must be finite"):
+            link_geometry([0.0, 0.0, 0.0], [3e-162, 0.0, 0.0])
+
     def test_elevation_bounded_and_zenith_iff_colinear(self):
         ground = ground_position(station(1, 10, 20))
         rng = random.Random(5)
@@ -257,6 +265,17 @@ class TestSelectLeo:
         # identical orbits, distinct ids: scores tie exactly
         twins = [leo(14, phase=0.0), leo(3, phase=0.0), leo(8, phase=0.0)]
         assert select_leo(twins, gs_a, gs_b, 0.0) == 3
+
+    @pytest.mark.parametrize("mask", [math.nan, -math.inf, 2.0])
+    def test_mask_outside_its_range_rejected(self, mask):
+        # a nan mask once turned the mask off: the relay on the far side of
+        # the Earth was selected
+        gs = station(1, 0, 0)
+        hidden = leo(201, phase=math.pi)
+        with pytest.raises(ValueError, match="^min_elevation must be finite"):
+            select_leo([hidden], gs, gs, 0.0, mask)
+        with pytest.raises(ValueError, match="^min_elevation must be finite"):
+            geom.best_satellite([hidden], [ground_position(gs)], 0.0, mask)
 
 
 # Array forms: the distribution plan runs geometry over rows of batch times,

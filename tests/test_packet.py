@@ -185,6 +185,9 @@ class TestEncode:
             pk.encode(pk.Packet(1, 2, 3, qubits=(pk.QubitDescriptor(1, 0, 7),)))
         with pytest.raises(pk.EncodeValidationError):
             pk.encode(pk.Packet(1, 2, 3, version=2))
+        with pytest.raises(pk.EncodeValidationError,
+                           match=r"^error_corr too long: 65536 bytes$"):
+            pk.encode(pk.Packet(1, 2, 3, error_corr=bytes(65536)))
 
     @pytest.mark.parametrize("qubits, message", [
         # the first bad descriptor is reported, its fields checked in the

@@ -160,6 +160,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             build(**{field: value})
 
+    def test_duplicate_node_ids_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate node ids$"):
+            small_network(stations=[station(1, 0.0), station(1, 4.0)])
+
 
 class TestRequest:
     def test_request_delay_to_coordinator(self):
@@ -182,6 +186,11 @@ class TestRequest:
         eng, net = small_network()
         with pytest.raises(ValueError):
             net.request(1, 1, qubits=1, pairs_target=10)
+
+    def test_unknown_station_rejected(self):
+        eng, net = small_network()
+        with pytest.raises(ValueError, match="^unknown station id$"):
+            net.request(1, 9, qubits=1, pairs_target=10)
 
     def test_concurrent_requests_are_isolated(self):
         eng, net = small_network()

@@ -78,6 +78,8 @@ class TestMeanRate:
     def test_b_zero_reduces_to_point_rate(self):
         model = ch.DownlinkGaussianTail(0.2988, 0.0)
         assert rates.mean_rate(model, 100) == pytest.approx(0.5121, abs=1e-3)
+        # an uplink without wander needs no stream either
+        assert rates.mean_rate(ch.UplinkPointingFade(0.5, 1.0, 0.0), 10) == 1.0
 
     @pytest.mark.parametrize("eta0,b", [(0.3, 0.1), (0.05, 0.1), (0.3, 0.01)])
     def test_monte_carlo_matches_quadrature(self, eta0, b):
@@ -153,8 +155,13 @@ class TestMeanRate:
         assert peak < 2 * 8 * n
 
     def test_requires_stream_for_fading(self):
-        with pytest.raises(ValueError):
-            rates.mean_rate(ch.DownlinkGaussianTail(0.3, 0.1), 10)
+        for model in (ch.DownlinkGaussianTail(0.3, 0.1),
+                      ch.UplinkPointingFade(0.5, 1.0, 0.3)):
+            with pytest.raises(ValueError, match=r"^rng "):
+                rates.mean_rate(model, 10)
+            # the sample count is checked first
+            with pytest.raises(ValueError, match=r"^n_samples "):
+                rates.mean_rate(model, 0)
 
 
 class TestSweep:

@@ -140,6 +140,22 @@ class TestValidation:
         body = MINIMAL.replace("qubits = 5\n", "")
         with pytest.raises(ConfigError, match="qubits"):
             load_scenario(write_scenario(tmp_path, body))
+        # a LEO satellite has no default altitude
+        body = MINIMAL.replace("altitude_m = 1200e3\n", "")
+        with pytest.raises(ConfigError, match=re.escape(
+                "[satellite.leo1] altitude_m: missing required field")):
+            load_scenario(write_scenario(tmp_path, body))
+
+    @pytest.mark.parametrize("body, message", [
+        (MINIMAL + "\n[channel]\n\n[channel]\n", "parse error: "),
+        (MINIMAL.replace("[scenario]", "[channel]"),
+         "[scenario]: missing section"),
+        ("[scenario]\nseed = 1\nt_end = 1.0\n",
+         "no [station.*] sections defined"),
+    ], ids=["duplicate section", "no scenario", "no station"])
+    def test_malformed_layout_rejected(self, tmp_path, body, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            load_scenario(write_scenario(tmp_path, body))
 
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="mystery"):
@@ -176,6 +192,7 @@ class TestValidation:
 
     # section of each field; MINIMAL has no [channel] section
     SECTION = {"t_end": "scenario", "min_elevation_deg": "scenario",
+               "earth_rotation": "scenario",
                "wavelength_m": "channel", "downlink_b": "channel",
                "longitude_deg": "station.alice",
                "aperture_radius_m": "station.alice",
@@ -190,7 +207,7 @@ class TestValidation:
         ("downlink_b", "nan"), ("wavelength_m", "nan"),
         ("memory_coherence_s", "nan"), ("min_elevation_deg", "nan"),
         ("min_elevation_deg", "91"), ("aperture_radius_m", "nan"),
-        ("longitude_deg", "inf"),
+        ("longitude_deg", "inf"), ("earth_rotation", "maybe"),
     ])
     def test_out_of_range_field_names_it(self, tmp_path, field, value):
         section = self.SECTION.get(field, "protocol")
