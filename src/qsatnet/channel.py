@@ -63,14 +63,15 @@ def _radius(beam: BeamParams, z: float) -> float:
 
 def beam_radius(beam: BeamParams, z: float) -> float:
     """Beam radius w(z) = w0 * sqrt(1 + (z*lambda/(pi*w0^2))^2), z >= 0; a
-    ValueError names w0 or the distance that takes it past the float range."""
+    ValueError names w0, the wavelength and the distance that take it past
+    the float range."""
     check_real(z, "z", 0)
     try:
         w = _radius(beam, z)
     except ArithmeticError:
         w = math.inf
     if w == math.inf:
-        _check_budget(beam, z)      # raises: w0 or z is out of range
+        _check_budget(beam, z)      # raises: the beam spreads too far
     return w
 
 
@@ -100,15 +101,17 @@ def _squares(x: float) -> bool:
 
 
 def _check_budget(beam: BeamParams, distance: float, rx_radius=0.0) -> None:
-    """Raise a ValueError naming the field that takes beam_radius, or with
-    rx_radius diffraction_transmittance, out of the float range; the beam
-    checks its own Rayleigh range."""
+    """Raise a ValueError naming the fields that take beam_radius, or with
+    rx_radius diffraction_transmittance, out of the float range: rx_radius,
+    or w0, the wavelength and the distance together, since any of them may
+    spread the beam; the beam checks its own Rayleigh range."""
     if not _squares(rx_radius):
         raise ValueError(f"rx_radius={rx_radius!r} is too large to square")
     if not (_squares(distance / beam.rayleigh_range)
             and _squares(_radius(beam, distance))):
-        raise ValueError(f"distance={distance!r} spreads the beam out of "
-                         f"the float range")
+        raise ValueError(f"w0={beam.w0!r} at wavelength={beam.wavelength!r} "
+                         f"spreads the beam out of the float range at "
+                         f"distance={distance!r}")
 
 
 def db_from_eta(eta: float) -> float:

@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.  The
 commands raise; ``main`` alone turns an exception into one stderr line
 and its exit code (``_report``), so no subcommand ends in a traceback.
-All outputs are byte-reproducible for a fixed seed.
+All outputs are byte-reproducible for a fixed seed under one numpy SIMD
+dispatch; normals, fades and rates depend on it (see engine).
 """
 
 from __future__ import annotations

@@ -10,7 +10,10 @@ without bumping the stream version tag) is:
 where key64 is the first 8 bytes of BLAKE2b over the tagged stream key.
 Uniforms map the top 53 bits to [0, 1); normals use the Box-Muller transform
 and consume two counter slots per value.  All integer arithmetic is modulo
-2**64, so streams are identical across platforms.
+2**64, so the uniforms, which scale the integers exactly, are identical
+across platforms.  Normals go through numpy's SIMD-dispatched log1p and
+cos, whose last bit may differ from one dispatch to another; their pinned
+bytes hold under numpy's x86-64 AVX512 dispatch.
 
 The array draws are the kernel of every Monte-Carlo mean, so they are made
 with few numpy calls and few temporaries: a draw of normals mixes both

@@ -29,18 +29,18 @@ kind, built once from the table: the same bytes as json.dumps with sorted
 keys and compact separators, without an encoder, a key sort or a type
 dispatch per record.
 
-Distribution is planned ahead in chunks.  When a session's batch event
-finds no planned batch left, Network._plan plans the next chunk: as many
-batches as fit in DRAW_CHUNK pairs, and always at least one.  Their times
-chain as t + n / source_rate_hz, and batch events run at their planned
-times.  The relay and station positions and both arms' slant ranges and
+A session's distribution is one batch generator, Network._plan, which
+each batch event reads one row from.  It plans ahead in chunks, and
+plans the next chunk when the last one is used up: as many batches as
+fit in DRAW_CHUNK pairs, and always at least one.  Their times chain as
+t + n / source_rate_hz, and batch events run at their planned times.
+The relay and station positions and both arms' slant ranges and
 elevations come from one array call each (see geom); each arm's eta0
 comes from one diffraction_transmittance call per batch; and one
 sample_pair_survival call covers the chunk's pairs, each pair at its own
 batch's eta0 (np.repeat), with survivors counted per batch by
-np.add.reduceat.  A batch event then reads one planned row.  Every planned
-value equals bit for bit what the batch alone at its own time would give,
-by these arithmetic rules:
+np.add.reduceat.  Every planned value equals bit for bit what the batch
+alone at its own time would give, by these arithmetic rules:
 
 * lengths are np.sqrt(np.vecdot(x, x)), the same dot kernel per row as the
   1-D np.linalg.norm; einsum and (x * x).sum(axis=1) round differently on
@@ -57,12 +57,11 @@ memory flat in the number of batches.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -306,38 +305,20 @@ def distilled_count(n_valid: int, yield_rate: float) -> int:
     return int(math.floor(n_valid * yield_rate))
 
 
-class PairDraws:
-    """A session's per-pair draws: the fade factor of each downlink arm and
-    the survival uniform.
+def sample_pair_survival(rngs: Sequence[RngStream], b: float, eta0_a, eta0_b,
+                         n: int) -> np.ndarray:
+    """Per-pair survival mask for the next n pairs of the session's streams
+    rngs = (arm_a, arm_b, survival): each attempted pair survives with
+    probability eta_a * eta_b.  eta0_a and eta0_b are the arms' diffraction
+    floors, one for all n pairs or one per pair, and b is the fade scale.
 
     The streams are counter-based, so pair k gets the same values however
-    the session's pairs are split into takes.
-    """
-
-    def __init__(self, rng_a: RngStream, rng_b: RngStream,
-                 rng_survival: RngStream, b: float, pairs: int):
-        # the unit floor makes sample_downlink return clip(1 - |G| b, 0, 1)
-        self._fade = ch.DownlinkGaussianTail(1.0, b)
-        self._rngs = (rng_a, rng_b)
-        self._rng_survival = rng_survival
-        self._undrawn = pairs
-
-    def take(self, n: int) -> list:
-        """[fade_a, fade_b, u] for the next n pairs."""
-        if n > self._undrawn:
-            raise ValueError(f"{n} pairs exceed the session's target")
-        self._undrawn -= n
-        return [ch.sample_downlink(self._fade, rng, n) for rng in self._rngs] \
-            + [self._rng_survival.random(n)]
-
-
-def sample_pair_survival(draws: PairDraws, eta0_a, eta0_b,
-                         n: int) -> np.ndarray:
-    """Per-pair survival mask for the next n pairs: each attempted pair
-    survives with probability eta_a * eta_b.  eta0_a and eta0_b are the
-    arms' diffraction floors, one for all n pairs or one per pair."""
-    fade_a, fade_b, u = draws.take(n)
-    return u < (eta0_a * fade_a) * (eta0_b * fade_b)
+    the session's pairs are split into calls."""
+    rng_a, rng_b, rng_survival = rngs
+    # the unit floor makes sample_downlink return clip(1 - |G| b, 0, 1)
+    fade = ch.DownlinkGaussianTail(1.0, b)
+    fade_a, fade_b = (ch.sample_downlink(fade, rng, n) for rng in (rng_a, rng_b))
+    return rng_survival.random(n) < (eta0_a * fade_a) * (eta0_b * fade_b)
 
 
 @dataclass
@@ -348,10 +329,10 @@ class Session:
     qubits_requested: int
     pairs_target: int
     policy: DistillationPolicy
+    pool: EbitPool
     phase: Phase = Phase.IDLE
     geo_id: Optional[int] = None
     leo_id: Optional[int] = None
-    pool: Optional[EbitPool] = None
     pending_deposits: int = 0
     survivors_emitted: int = 0
     distribution_done: bool = False
@@ -360,10 +341,6 @@ class Session:
     pairs_survived: int = 0
     qubits_delivered: int = 0
     failure_reason: Optional[str] = None
-    # per-session streams persist across batches so draws never repeat
-    draws: Optional[PairDraws] = None
-    # the planned batches not yet run; see Network._plan
-    plan: deque = field(default_factory=deque)
 
 
 class Network:
@@ -469,20 +446,15 @@ class Network:
         check_count(qubits, "qubits", 1, COUNT_MAX)
         check_count(pairs_target, "pairs_target", 1, COUNT_MAX)
         now = self.engine.now
-        # sessions are never removed, so ids count up from 1
-        sess = Session(len(self.sessions) + 1, a_id, b_id, qubits, pairs_target,
-                       policy or DistillationPolicy())
-        self.sessions[sess.id] = sess
         station_a = self.stations[a_id]
         station_b = self.stations[b_id]
-        coherence = min(station_a.memory_coherence_time,
-                        station_b.memory_coherence_time)
-        capacity = min(station_a.memory_capacity, station_b.memory_capacity)
-        sess.pool = EbitPool(coherence, capacity)
-        sess.draws = PairDraws(self.engine.stream("proto", sess.id, "arm_a"),
-                               self.engine.stream("proto", sess.id, "arm_b"),
-                               self.engine.stream("proto", sess.id, "survival"),
-                               self.downlink_b, pairs_target)
+        pool = EbitPool(min(station_a.memory_coherence_time,
+                            station_b.memory_coherence_time),
+                        min(station_a.memory_capacity, station_b.memory_capacity))
+        # sessions are never removed, so ids count up from 1
+        sess = Session(len(self.sessions) + 1, a_id, b_id, qubits, pairs_target,
+                       policy or DistillationPolicy(), pool)
+        self.sessions[sess.id] = sess
         self._transition(sess, Phase.REQUESTED)
 
         pos_a = self._station_pos(a_id, now)
@@ -523,68 +495,74 @@ class Network:
     def _on_leo_command(self, sess: Session) -> None:
         self._emit(sess.id, "leo_command_received", {"leo": sess.leo_id})
         self._transition(sess, Phase.DISTRIBUTING)
-        self._at(self.engine.now, "distribution_batch", self._on_batch, sess)
+        self._at(self.engine.now, "distribution_batch", self._on_batch, sess,
+                 plan=self._plan(sess))
 
-    def _plan(self, sess: Session, t: float) -> deque:
-        """The session's next batches from time t, planned as one chunk
-        (see the module docstring).
+    def _plan(self, sess: Session) -> Iterator[Optional[tuple]]:
+        """The session's batch generator: its whole distribution, from the
+        time of its first batch event, planned one chunk at a time (see the
+        module docstring).  It plans the next chunk when the last one is
+        used up.
 
-        Rows are (pairs, survivors, eta0_a, eta0_b, slant_a, slant_b, next_t)
-        per batch, next_t the next batch's time.  A final None marks the
-        batch that finds the relay below the mask; nothing is planned past it.
+        It yields one row (pairs, survivors, eta0_a, eta0_b, slant_a,
+        slant_b, next_t) per batch, next_t the next batch's time, until the
+        session's pairs_target pairs are planned.  At the first batch that
+        finds the relay below the mask it yields None and returns.
         """
-        times, sizes, pairs = [], [], 0
-        left = sess.pairs_target - sess.pairs_attempted
-        while left:
-            n = left if self.batch_size is None else min(self.batch_size, left)
-            # no finite end time reaches a batch at t = inf
-            if sizes and (pairs + n > DRAW_CHUNK or not math.isfinite(t)):
-                break
-            times.append(t)
-            sizes.append(n)
-            pairs += n
-            left -= n
-            t = t + n / self.source_rate_hz
-        next_times = times[1:] + [t]
-        times = np.array(times)
+        # per-session streams persist across chunks so draws never repeat
+        rngs = [self.engine.stream("proto", sess.id, arm)
+                for arm in ("arm_a", "arm_b", "survival")]
         leo = self.satellites[sess.leo_id]
-        pos_leo = geom.satellite_position(leo, times)
-        arms = [geom.line_of_sight(self._station_pos(sid, times), pos_leo)
-                for sid in (sess.a_id, sess.b_id)]
-        # the first batch with the relay below the mask ends distribution
-        low = np.minimum(arms[0][1], arms[1][1]) < self.min_elevation
-        visible = int(np.argmax(low)) if low.any() else len(sizes)
-        sizes = sizes[:visible]
         beam = ch.BeamParams(leo.aperture_radius, self.wavelength)
-        slant, eta0 = [], []
-        for sid, (distance, _) in zip((sess.a_id, sess.b_id), arms):
-            slant.append(distance[:visible].tolist())
-            rx = self.stations[sid].aperture_radius
-            eta0.append([ch.diffraction_transmittance(beam, rx, d)
-                         for d in slant[-1]])
-        survivors = []
-        if sizes:
-            # one draw for the chunk, each pair at its own batch's eta0
-            survive = sample_pair_survival(
-                sess.draws, *(np.repeat(e, sizes) for e in eta0), sum(sizes))
-            survivors = np.add.reduceat(survive, np.cumsum([0] + sizes[:-1]),
-                                        dtype=np.int64).tolist()
-        plan = deque(zip(sizes, survivors, *eta0, *slant, next_times))
-        if visible < len(times):
-            plan.append(None)
-        return plan
+        t, left = self.engine.now, sess.pairs_target
+        while left:
+            times, sizes, pairs = [], [], 0
+            while left:
+                n = left if self.batch_size is None else min(self.batch_size, left)
+                # no finite end time reaches a batch at t = inf
+                if sizes and (pairs + n > DRAW_CHUNK or not math.isfinite(t)):
+                    break
+                times.append(t)
+                sizes.append(n)
+                pairs += n
+                left -= n
+                t = t + n / self.source_rate_hz
+            next_times = times[1:] + [t]
+            times = np.array(times)
+            pos_leo = geom.satellite_position(leo, times)
+            arms = [geom.line_of_sight(self._station_pos(sid, times), pos_leo)
+                    for sid in (sess.a_id, sess.b_id)]
+            # the first batch with the relay below the mask ends distribution
+            low = np.minimum(arms[0][1], arms[1][1]) < self.min_elevation
+            visible = int(np.argmax(low)) if low.any() else len(sizes)
+            sizes = sizes[:visible]
+            slant, eta0 = [], []
+            for sid, (distance, _) in zip((sess.a_id, sess.b_id), arms):
+                slant.append(distance[:visible].tolist())
+                rx = self.stations[sid].aperture_radius
+                eta0.append([ch.diffraction_transmittance(beam, rx, d)
+                             for d in slant[-1]])
+            survivors = []
+            if sizes:
+                # one draw for the chunk, each pair at its own batch's eta0
+                survivors = np.add.reduceat(
+                    sample_pair_survival(rngs, self.downlink_b,
+                                         *(np.repeat(e, sizes) for e in eta0),
+                                         sum(sizes)),
+                    np.cumsum([0] + sizes[:-1]), dtype=np.int64).tolist()
+            yield from zip(sizes, survivors, *eta0, *slant, next_times)
+            if visible < len(times):
+                yield None
+                return
 
-    def _on_batch(self, sess: Session) -> None:
+    def _on_batch(self, sess: Session, plan: Iterator[Optional[tuple]]) -> None:
         now = self.engine.now
-        if not sess.plan:
-            sess.plan = self._plan(sess, now)
-        batch = sess.plan.popleft()
-        remaining = sess.pairs_target - sess.pairs_attempted
+        batch = next(plan)
         if batch is None:
             self._emit(sess.id, "link_lost",
                        {"leo": sess.leo_id,
                         "emitted_survivors": sess.survivors_emitted,
-                        "remaining": remaining})
+                        "remaining": sess.pairs_target - sess.pairs_attempted})
             if sess.survivors_emitted >= self.min_raw_pairs:
                 sess.distribution_done = True
                 if sess.pending_deposits == 0:
@@ -612,7 +590,8 @@ class Network:
         self._at(arrival_t, "pairs_arrival", self._on_deposit, sess,
                  pair_ids=pair_ids)
         if not sess.distribution_done:
-            self._at(next_t, "distribution_batch", self._on_batch, sess)
+            self._at(next_t, "distribution_batch", self._on_batch, sess,
+                     plan=plan)
 
     def _on_deposit(self, sess: Session, pair_ids: range) -> None:
         sess.pending_deposits -= 1

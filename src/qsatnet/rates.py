@@ -4,10 +4,11 @@ The per-use rate of a pure-loss channel with transmittance eta is
 -log2(1 - eta), an achievable distillation rate with loss as the only noise
 process.  Channel models with random loss are averaged by Monte Carlo with
 per-grid-point substreams, so every surface is reproducible bit-for-bit for
-a given seed.  Every fading mean is a chunked_mean: it draws and maps to
-rates DRAW_CHUNK values at a time, so one chunk's temporaries stay in a
-core's cache, and then sums the whole buffer of rates at once: the streams
-are counter-based, so the mean is the one an unchunked draw would give.
+a given seed under one numpy SIMD dispatch (see engine).  Every fading mean
+is a chunked_mean: it draws and maps to rates DRAW_CHUNK values at a
+time, so one chunk's temporaries stay in a core's cache, and then sums the
+whole buffer of rates at once: the streams are counter-based, so the mean
+is the one an unchunked draw would give.
 A sweep splits its grid points over at most SWEEP_THREADS threads and never
 more than the CPUs the process may use; the surface does not depend on how
 many.  Each chunk's draws are mixed in one pass over both Box-Muller slots

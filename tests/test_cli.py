@@ -310,6 +310,13 @@ class TestRatesSweep:
                         "--output", str(out)]) == 2
         assert "config error: w0=1e+300 " in capsys.readouterr().err
         assert not out.exists()
+        # a beam that a long wavelength spreads names all three fields
+        assert run_cli(["rates-sweep", "--distance", "1e6", "--waist-grid",
+                        "0.2", "--rx-grid", "0.5", "--samples", "3",
+                        "--wavelength=1e150"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: w0=0.2 at wavelength=1e+150 spreads the beam out "
+            "of the float range at distance=1000000.0\n")
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_first_failing_point_in_grid_order_exits_2(self, tmp_path, capsys,
@@ -480,13 +487,24 @@ class TestChannelSample:
         (["--waist", "1e-300", "--distance", "1e300"], "w0"),
         (["--distance", "1e300"], "distance"),
         (["--rx-radius", "1e300"], "rx_radius"),
+        (["--wavelength=1e150"], "wavelength"),
     ])
     def test_budget_out_of_float_range_exits_2(self, tmp_path, capsys, flags,
                                                field):
         out = tmp_path / "never.csv"
         assert run_cli(["channel-sample", "--model", "fixed", "--n", "2",
                         *flags, "--output", str(out)]) == 2
-        assert f"config error: {field}=" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # a spread beam names w0, the wavelength and the distance together
+        spread = {"distance": ("1.55e-06", "1e+300"),
+                  "wavelength": ("1e+150", "1200000.0")}
+        if field in spread:
+            wavelength, distance = spread[field]
+            assert err == (f"config error: w0=0.2 at wavelength={wavelength} "
+                           f"spreads the beam out of the float range at "
+                           f"distance={distance}\n")
+        else:
+            assert f"config error: {field}=" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [

@@ -39,6 +39,12 @@ def test_schedule_in_past_raises():
     eng.run_until(1.0)
     with pytest.raises(EngineError):
         eng.schedule(0.5, "late", lambda ev: None)
+    # raised by a handler, the scheduling error propagates as it is, with no
+    # "handler failed" wrapper
+    eng.schedule(1.0, "x", lambda ev: eng.schedule(0.5, "y", lambda ev: None))
+    with pytest.raises(EngineError) as err:
+        eng.run_until(2.0)
+    assert str(err.value) == "cannot schedule 'y' at t=0.5, current t=1.0"
 
 
 def test_nan_time_rejected():

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from audit_util import brute_force_select, replay_audit
 from qsatnet import channel as ch
-from qsatnet import geom
-from qsatnet.engine import Engine, make_stream
+from qsatnet import geom, proto
+from qsatnet.engine import DRAW_CHUNK, Engine, make_stream
 from qsatnet.proto import (DistillationPolicy, EbitPool, Failure, Network,
-                           PairDraws, Phase, distilled_count,
-                           sample_pair_survival)
+                           Phase, distilled_count, sample_pair_survival)
 from test_geom import (reference_ground_position, reference_line_of_sight,
                        reference_satellite_position)
 
@@ -39,6 +38,18 @@ def small_network(seed=1, stations=None, satellites=None, **kwargs):
 
 def events(net, name):
     return [r for r in net.trace if r["event"] == name]
+
+
+def counted_survival_draws(monkeypatch) -> list:
+    """The pair count of each sample_pair_survival call the protocol makes
+    from now on."""
+    counts = []
+
+    def counted(rngs, b, eta0_a, eta0_b, n):
+        counts.append(n)
+        return sample_pair_survival(rngs, b, eta0_a, eta0_b, n)
+    monkeypatch.setattr(proto, "sample_pair_survival", counted)
+    return counts
 
 
 class TestEbitPool:
@@ -89,41 +100,42 @@ class TestBuildingBlocks:
         assert distilled_count(10, 1.0) == 10
 
     def test_survival_perfect_arms(self):
-        draws = PairDraws(make_stream(1, "a"), make_stream(1, "b"),
-                          make_stream(1, "u"), 0.0, 1000)
-        mask = sample_pair_survival(draws, 1.0, 1.0, 1000)
+        rngs = [make_stream(1, k) for k in ("a", "b", "u")]
+        mask = sample_pair_survival(rngs, 0.0, 1.0, 1.0, 1000)
         assert mask.all()
 
     def test_survival_dead_arm(self):
-        draws = PairDraws(make_stream(2, "a"), make_stream(2, "b"),
-                          make_stream(2, "u"), 0.0, 1000)
-        mask = sample_pair_survival(draws, 0.0, 1.0, 1000)
+        rngs = [make_stream(2, k) for k in ("a", "b", "u")]
+        mask = sample_pair_survival(rngs, 0.0, 0.0, 1.0, 1000)
         assert not mask.any()
 
     def test_survival_binomial_oracle(self):
         # fixed etas 0.3/0.3: survivors ~ Binomial(1e5, 0.09)
-        draws = PairDraws(make_stream(3, "a"), make_stream(3, "b"),
-                          make_stream(3, "u"), 0.0, 100_000)
-        mask = sample_pair_survival(draws, 0.3, 0.3, 100_000)
+        rngs = [make_stream(3, k) for k in ("a", "b", "u")]
+        mask = sample_pair_survival(rngs, 0.0, 0.3, 0.3, 100_000)
         n, p = 100_000, 0.09
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(int(mask.sum()) - n * p) < 3 * sigma
 
 
-    @pytest.mark.parametrize("b, sizes, spare", [
+    @pytest.mark.parametrize("b, sizes, skip", [
         (0.4, [100, 37, 9000, 100, 5], 0),
         (0.4, [100, 37, 9000, 100, 5], 50_000),
         (0.0, [100, 37, 9000, 100, 5], 0),
         (0.4, [9000, 100, 9000], 0),
     ])
-    def test_survival_equals_per_batch_draws(self, b, sizes, spare):
+    def test_survival_equals_per_batch_draws(self, b, sizes, skip):
         # oracle: each batch draws its own normals and uniforms from the same
-        # three streams; the buffer's chunks straddle batches, and a batch
-        # may be larger than a chunk
+        # three streams; the buffer's chunks straddle batches, a batch may be
+        # larger than a chunk, and the session may have drawn skip pairs
         eta0_a, eta0_b = 0.8, 0.6
         keys = [(4, "a"), (4, "b"), (4, "u")]
-        draws = PairDraws(*(make_stream(*k) for k in keys), b, sum(sizes) + spare)
+        rngs = [make_stream(*k) for k in keys]
+        sample_pair_survival(rngs, b, eta0_a, eta0_b, skip)
         rng_a, rng_b, rng_u = (make_stream(*k) for k in keys)
+        rng_a.standard_normal(skip)
+        rng_b.standard_normal(skip)
+        rng_u.random(skip)
         survivors = 0
         for n in sizes:
             eta_a = eta0_a * np.clip(1.0 - np.abs(rng_a.standard_normal(n)) * b,
@@ -131,13 +143,10 @@ class TestBuildingBlocks:
             eta_b = eta0_b * np.clip(1.0 - np.abs(rng_b.standard_normal(n)) * b,
                                      0.0, 1.0)
             expected = rng_u.random(n) < eta_a * eta_b
-            mask = sample_pair_survival(draws, eta0_a, eta0_b, n)
+            mask = sample_pair_survival(rngs, b, eta0_a, eta0_b, n)
             assert np.array_equal(mask, expected)
             survivors += mask.sum()
         assert 0 < survivors < sum(sizes)
-        if spare == 0:
-            with pytest.raises(ValueError):
-                sample_pair_survival(draws, eta0_a, eta0_b, 1)
 
 
 class TestConstruction:
@@ -381,6 +390,20 @@ class TestPlannedBatches:
                                                     "link_lost")]
         assert got == list(self.oracle(net, sess, start, rotation))
 
+    def test_session_draws_its_target_once_per_chunk(self, monkeypatch):
+        # only the plan draws, sized from the pairs it has left, so no call
+        # draws past the session's target
+        draws = counted_survival_draws(monkeypatch)
+        eng, net = small_network(batch_size=100)
+        sess = net.request(1, 2, qubits=1, pairs_target=3 * DRAW_CHUNK,
+                           policy=DistillationPolicy(yield_rate=0.5))
+        eng.run_until(2.0)
+        batches = len(events(net, "batch_emitted"))
+        assert batches == -(-sess.pairs_target // 100)
+        chunks = -(-batches // (DRAW_CHUNK // 100))
+        assert len(draws) == chunks == 4
+        assert sum(draws) == sess.pairs_target
+
     def test_source_slow_enough_to_overflow_time(self):
         # the second batch falls at t = inf: it is neither run nor planned
         eng, net = small_network(batch_size=100, source_rate_hz=1e-307)
@@ -415,6 +438,21 @@ class TestLinkLoss:
         assert sess.pairs_attempted == 500
         assert sess.qubits_delivered == 1
         replay_audit(net.trace, coherence_time=30.0)    # partial path stays safe
+
+    def test_draws_stop_at_the_lost_batch(self, monkeypatch):
+        # one-pair batches 1 ms apart: the relay sets in the middle of the
+        # first chunk, and the session draws only the pairs it emitted
+        draws = counted_survival_draws(monkeypatch)
+        eng, net = self.setting_relay_network(min_raw_pairs=1, batch_size=1,
+                                              source_rate_hz=1000.0)
+        net.request(1, 2, qubits=1, pairs_target=10**6,
+                    policy=DistillationPolicy(yield_rate=1.0))
+        eng.run_until(30.0)
+        emitted = sum(r["payload"]["attempted"]
+                      for r in events(net, "batch_emitted"))
+        assert len(events(net, "link_lost")) == 1
+        assert 0 < emitted < DRAW_CHUNK
+        assert draws == [emitted]
 
     def test_below_minimum_raw_fails(self):
         eng, net = self.setting_relay_network(min_raw_pairs=1000)
@@ -538,6 +576,18 @@ class TestTraceContracts:
         terminal_t = events(net, "session_failed")[0]["t"]
         later = [r for r in net.trace if r["t"] > terminal_t]
         assert later == []
+
+    def test_done_session_cannot_move_back(self):
+        eng, net = small_network(seed=2)
+        sess = net.request(1, 2, qubits=1, pairs_target=1000)
+        eng.run_until(1.0)
+        assert sess.phase is Phase.DONE
+        records = len(net.trace)
+        with pytest.raises(RuntimeError,
+                           match="^illegal transition DONE -> DISTILLING$"):
+            net._transition(sess, Phase.DISTILLING)
+        assert sess.phase is Phase.DONE
+        assert len(net.trace) == records
 
     def test_summary_aggregates(self):
         net, sess = self.run_example()

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import time
@@ -154,6 +155,10 @@ class TestMeanRate:
             tracemalloc.stop()
         assert peak < 2 * 8 * n
 
+    def test_unsupported_model_rejected(self):
+        with pytest.raises(TypeError, match="^unsupported channel model "):
+            rates.mean_rate(object(), 10)
+
     def test_requires_stream_for_fading(self):
         for model in (ch.DownlinkGaussianTail(0.3, 0.1),
                       ch.UplinkPointingFade(0.5, 1.0, 0.3)):
@@ -203,6 +208,13 @@ class TestSweep:
         near = rates.sweep(waists, rx, 1200e3, 0.1, n_samples=5000, seed=9)
         far = rates.sweep(waists, rx, 3.6e7, 0.1, n_samples=5000, seed=9)
         assert np.all(near >= far)
+
+    @pytest.mark.parametrize("cpus, threads", [(3, 3), (64, 4), (None, 1)])
+    def test_threads_without_affinity_call(self, monkeypatch, cpus, threads):
+        # a platform with no os.sched_getaffinity falls back to os.cpu_count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert rates._sweep_threads() == threads
 
     def test_parallel_bit_identical_to_serial(self, monkeypatch):
         # parallel: every usable CPU, up to SWEEP_THREADS; serial: one thread
