@@ -1,10 +1,10 @@
 """Optical transmittance models for the quantum links.
 
-Three variants cover the link classes:
+One budget and two fading models cover the link classes:
 
-* FixedDiffraction - vacuum Gaussian-beam spreading truncated by a circular
-  receive aperture; used for satellite-satellite links and as the static
-  part of every budget.
+* diffraction_transmittance - vacuum Gaussian-beam spreading truncated by a
+  circular receive aperture; the fixed budget of satellite-satellite links
+  and the static part of every budget.
 * DownlinkGaussianTail - a fixed diffraction floor eta0 scaled by
   clamp(1 - |G|, 0, 1) with G ~ Normal(0, b^2); b -> 0 recovers the fixed
   channel.
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -61,34 +60,36 @@ def _radius(beam: BeamParams, z: float) -> float:
     return beam.w0 * math.sqrt(1.0 + (z / beam.rayleigh_range) ** 2)
 
 
-def beam_radius(beam: BeamParams, z: float) -> float:
-    """Beam radius w(z) = w0 * sqrt(1 + (z*lambda/(pi*w0^2))^2), z >= 0; a
-    ValueError names w0, the wavelength and the distance that take it past
-    the float range."""
-    check_real(z, "z", 0)
+def beam_radius(beam: BeamParams, distance: float) -> float:
+    """Beam radius w(z) = w0 * sqrt(1 + (z*lambda/(pi*w0^2))^2) at the
+    distance z >= 0; a ValueError names w0, the wavelength and the distance
+    that take it past the float range."""
+    check_real(distance, "distance", 0)
     try:
-        w = _radius(beam, z)
+        w = _radius(beam, distance)
     except ArithmeticError:
         w = math.inf
     if w == math.inf:
-        _check_budget(beam, z)      # raises: the beam spreads too far
+        _check_budget(beam, distance)   # raises: the beam spreads too far
     return w
 
 
-def diffraction_transmittance(beam: BeamParams, rx_radius: float, z: float) -> float:
+def diffraction_transmittance(beam: BeamParams, rx_radius: float,
+                              distance: float) -> float:
     """Power fraction of a centered Gaussian beam through a circular aperture.
 
-    eta = 1 - exp(-2 * rx_radius^2 / w(z)^2).  Strictly decreasing in z and
-    strictly increasing in rx_radius.  rx_radius and the distance z must be
-    finite and > 0: at infinity the formula gives 0 or 1 with no error.
+    eta = 1 - exp(-2 * rx_radius^2 / w(z)^2) at the distance z.  Strictly
+    decreasing in z and strictly increasing in rx_radius.  rx_radius and the
+    distance must be finite and > 0: at infinity the formula gives 0 or 1
+    with no error.
     """
     check_real(rx_radius, "rx_radius", 0, strict=True)
-    check_real(z, "distance", 0, strict=True)
+    check_real(distance, "distance", 0, strict=True)
     try:
-        w = _radius(beam, z)       # inf gives the limit, transmittance 0
+        w = _radius(beam, distance)    # inf gives the limit, transmittance 0
         return 1.0 - math.exp(-2.0 * rx_radius**2 / w**2)
     except ArithmeticError:
-        _check_budget(beam, z, rx_radius)
+        _check_budget(beam, distance, rx_radius)
         raise
 
 
@@ -124,22 +125,6 @@ def db_from_eta(eta: float) -> float:
 
 
 @dataclass(frozen=True)
-class FixedDiffraction:
-    """Deterministic channel: transmittance set by diffraction alone."""
-    beam: BeamParams
-    rx_radius: float
-    distance: float
-
-    def __post_init__(self):
-        check_real(self.rx_radius, "rx_radius", 0, strict=True)
-        check_real(self.distance, "distance", 0, strict=True)
-
-    @property
-    def eta(self) -> float:
-        return diffraction_transmittance(self.beam, self.rx_radius, self.distance)
-
-
-@dataclass(frozen=True)
 class DownlinkGaussianTail:
     """Fixed loss eta0 with a Gaussian-tail deviation of scale b."""
     eta0: float
@@ -170,9 +155,6 @@ class UplinkPointingFade:
                 raise ValueError(f"{name}={value!r} is too large to square")
             if value and float(value) ** 2 == 0.0:
                 raise ValueError(f"{name}={value!r} is too small to square")
-
-
-OpticalChannelModel = Union[FixedDiffraction, DownlinkGaussianTail, UplinkPointingFade]
 
 
 def sample_downlink(model: DownlinkGaussianTail, rng: RngStream, n: int):

@@ -142,46 +142,44 @@ def _cmd_rates_sweep(args) -> None:
                 out.write(f"{w0!r},{rx!r},{args.distance!r},{args.b!r},{rate!r}\n")
 
 
-def _build_channel_model(args):
-    if args.model == "fixed":
-        return ch.FixedDiffraction(ch.BeamParams(args.waist, args.wavelength),
-                                   args.rx_radius, args.distance)
-    if args.model == "downlink":
-        return ch.DownlinkGaussianTail(args.eta0, args.b)
-    eta_diff = args.eta_diffraction
-    sigma = args.sigma_wander
-    if args.calibrate_target_db is not None:
-        sigma = ch.calibrate_uplink_sigma(eta_diff, args.beam_radius_rx,
-                                          args.calibrate_target_db)
-    elif sigma is None:
-        raise ValueError("uplink model needs --sigma-wander or "
-                         "--calibrate-target-db")
-    return ch.UplinkPointingFade(eta_diff, args.beam_radius_rx, sigma,
-                                 args.fade_coherence)
-
-
 def _cmd_channel_sample(args) -> None:
     check_count(args.n, "--n", 1, COUNT_MAX)
     _check_flags(args, ("t_step", "fade_coherence", "wavelength", "distance",
                         "waist", "rx_radius", "beam_radius_rx"),
                  ("b", "sigma_wander", "calibrate_target_db"),
                  ("eta0", "eta_diffraction"))
-    # the uplink row step, and the flag that set it; a last row time past
-    # the float range is inf here, and so past any interval count
-    step, step_flag = ((args.fade_coherence, "--fade-coherence")
-                       if args.t_step is None else (args.t_step, "--t-step"))
-    if (args.model == "uplink"
-            and (args.n - 1) * step / args.fade_coherence >= 2.0**63):
-        raise ValueError(f"{step_flag} {step} puts sample {args.n - 1} past "
-                         f"2**63 fade intervals or the float range")
-    model = _build_channel_model(args)
     rng = make_stream(_seed(args), "channel-sample", args.model)
-    times = np.arange(args.n, dtype=float)
-    if isinstance(model, ch.FixedDiffraction):
-        etas = np.full(args.n, model.eta)
-    elif isinstance(model, ch.DownlinkGaussianTail):
-        etas = ch.sample_downlink(model, rng, args.n)
+    # each model is checked in full before its rows are allocated
+    if args.model == "fixed":
+        etas = np.full(args.n, ch.diffraction_transmittance(
+            ch.BeamParams(args.waist, args.wavelength), args.rx_radius,
+            args.distance))
+        times = np.arange(args.n, dtype=float)
+    elif args.model == "downlink":
+        etas = ch.sample_downlink(ch.DownlinkGaussianTail(args.eta0, args.b),
+                                  rng, args.n)
+        times = np.arange(args.n, dtype=float)
     else:
+        # the row step, and the flag that set it; a last row time past the
+        # float range is inf here, and so past any interval count
+        step, step_flag = ((args.fade_coherence, "--fade-coherence")
+                           if args.t_step is None
+                           else (args.t_step, "--t-step"))
+        if (args.n - 1) * step / args.fade_coherence >= 2.0**63:
+            raise ValueError(f"{step_flag} {step} puts sample {args.n - 1} "
+                             f"past 2**63 fade intervals or the float range")
+        sigma = args.sigma_wander
+        if args.calibrate_target_db is not None:
+            sigma = ch.calibrate_uplink_sigma(
+                args.eta_diffraction, args.beam_radius_rx,
+                args.calibrate_target_db)
+        elif sigma is None:
+            raise ValueError("uplink model needs --sigma-wander or "
+                             "--calibrate-target-db")
+        model = ch.UplinkPointingFade(args.eta_diffraction,
+                                      args.beam_radius_rx, sigma,
+                                      args.fade_coherence)
+        times = np.arange(args.n, dtype=float)
         times *= step
         etas = ch.sample_uplink(model, rng, times)
     with _output(args.output) as out:

@@ -632,8 +632,8 @@ class Network:
         rng_a = self.engine.stream("proto", sess.id, "yield_a")
         rng_b = self.engine.stream("proto", sess.id, "yield_b")
         return min(1.0, chunked_mean(
-            lambda lo, k: rci_array(ch.sample_downlink(model_a, rng_a, k)
-                                    * ch.sample_downlink(model_b, rng_b, k)),
+            lambda k: rci_array(ch.sample_downlink(model_a, rng_a, k)
+                                * ch.sample_downlink(model_b, rng_b, k)),
             sess.policy.yield_samples))
 
     def _on_distill_complete(self, sess: Session) -> None:

@@ -2,13 +2,15 @@
 
 The per-use rate of a pure-loss channel with transmittance eta is
 -log2(1 - eta), an achievable distillation rate with loss as the only noise
-process.  Channel models with random loss are averaged by Monte Carlo with
+process.  The random loss of the LEO downlink, the one channel whose
+rates the sweep maps, is averaged by Monte Carlo (mean_rate) with
 per-grid-point substreams, so every surface is reproducible bit-for-bit for
-a given seed under one numpy SIMD dispatch (see engine).  Every fading mean
-is a chunked_mean: it draws and maps to rates DRAW_CHUNK values at a
-time, so one chunk's temporaries stay in a core's cache, and then sums the
-whole buffer of rates at once: the streams are counter-based, so the mean
-is the one an unchunked draw would give.
+a given seed under one numpy SIMD dispatch (see engine).  Every Monte-Carlo
+mean, a mean_rate or a session's distillation yield (proto), is a
+chunked_mean: it draws and maps to rates DRAW_CHUNK values at a time, so
+one chunk's temporaries stay in a core's cache, and then sums the whole
+buffer of rates at once: the streams are counter-based, so the mean is the
+one an unchunked draw would give.
 A sweep splits its grid points over at most SWEEP_THREADS threads and never
 more than the CPUs the process may use; the surface does not depend on how
 many.  Each chunk's draws are mixed in one pass over both Box-Muller slots
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,47 +57,26 @@ def rci_array(eta) -> np.ndarray:
     return np.minimum(out, RATE_SATURATION, out=out)
 
 
-def chunked_mean(rates_of: Callable[[int, int], np.ndarray], n: int) -> float:
-    """Mean of the rates rates_of(lo, k) gives for draws lo .. lo+k-1,
-    k <= DRAW_CHUNK at a time; its peak memory is one n-float buffer plus
-    one chunk's temporaries."""
+def chunked_mean(rates_of: Callable[[int], np.ndarray], n: int) -> float:
+    """Mean of n rates, made rates_of(k) for k <= DRAW_CHUNK draws at a time;
+    its peak memory is one n-float buffer plus one chunk's temporaries."""
     rates = np.empty(n)
     for lo in range(0, n, DRAW_CHUNK):
         k = min(DRAW_CHUNK, n - lo)
-        rates[lo:lo + k] = rates_of(lo, k)
+        rates[lo:lo + k] = rates_of(k)
     return float(np.mean(rates))
 
 
-def mean_rate(model: ch.OpticalChannelModel, n_samples: int,
-              rng: Optional[RngStream] = None) -> float:
-    """Monte-Carlo mean of the per-use rate over channel draws.
-
-    A model without fading (FixedDiffraction, a downlink with b = 0, an
-    uplink without wander) gives the rate of its one transmittance with no
-    sampling; the fading models draw n_samples independent transmittances
-    from the given stream (an uplink: coherence intervals 0 .. n_samples-1)
-    through chunked_mean.
-    """
-    if isinstance(model, ch.FixedDiffraction):
-        return float(rci_array(model.eta))
+def mean_rate(model: ch.DownlinkGaussianTail, n_samples: int,
+              rng: RngStream) -> float:
+    """Monte-Carlo mean of the per-use rate over n_samples independent
+    downlink transmittances drawn from rng through chunked_mean; b = 0 gives
+    the rate of eta0 with no sampling."""
     check_count(n_samples, "n_samples", 1, COUNT_MAX)
-    if isinstance(model, ch.DownlinkGaussianTail):
-        if model.b == 0.0:
-            return float(rci_array(model.eta0))
-
-        def rates_of(lo, k):
-            return rci_array(ch.sample_downlink(model, rng, k))
-    elif isinstance(model, ch.UplinkPointingFade):
-        if model.sigma_wander == 0.0:
-            return float(rci_array(model.eta_diffraction))
-
-        def rates_of(lo, k):
-            return rci_array(ch.uplink_interval_samples(model, rng, k, lo))
-    else:
-        raise TypeError(f"unsupported channel model {model!r}")
-    if rng is None:
-        raise ValueError("rng must be a random stream for a fading model")
-    return chunked_mean(rates_of, n_samples)
+    if model.b == 0.0:
+        return float(rci_array(model.eta0))
+    return chunked_mean(
+        lambda k: rci_array(ch.sample_downlink(model, rng, k)), n_samples)
 
 
 def _point_rate(tx_waist: float, rx_radius: float, distance: float, b: float,

@@ -1,6 +1,8 @@
 """Shared test oracles: trace replay audit, composite Gauss-Legendre
 quadrature, a brute-force relay-selection scan, the scalar rate and dB
-formulas, and the Monte-Carlo draw and map kernels stated step by step.
+formulas, the closed-form downlink fade mean and the survivor z-score it
+gives a trace, and the Monte-Carlo draw and map kernels stated step by
+step.
 
 These restate the contracts independently of the implementation so the
 tests check the simulator against them rather than against itself.
@@ -97,6 +99,38 @@ def quad_mean_rate(eta0, b, total_points=10_000):
     phi = np.exp(-(g**2) / (2.0 * b * b)) / (b * math.sqrt(2.0 * math.pi))
     rate = -np.log1p(-eta0 * (1.0 - g)) / math.log(2.0)
     return float(2.0 * np.sum(wg * phi * rate))
+
+
+def mean_downlink_fade(b):
+    """E[max(0, 1 - |G| b)], G ~ Normal(0, 1), in closed form:
+    erf(1/(b sqrt 2)) - b sqrt(2/pi) (1 - exp(-1/(2 b^2))), and 1 at b = 0."""
+    if b == 0.0:
+        return 1.0
+    return (math.erf(1.0 / (b * math.sqrt(2.0)))
+            - b * math.sqrt(2.0 / math.pi) * (1.0 - math.exp(-0.5 / b**2)))
+
+
+def survivor_z_scores(trace):
+    """{session id: z} of each session's survivor count, from its
+    batch_emitted records alone.  A batch's survivors are
+    Binomial(attempted, q) with q = eta0_a E[f] eta0_b E[f] and E[f] the
+    downlink fade mean, so a session's count has mean sum(attempted q) and
+    variance sum(attempted q (1 - q)); a session with no variance has z = 0
+    when it drew exactly its mean, else inf."""
+    moments = {}
+    for rec in trace:
+        if rec.get("event") != "batch_emitted":
+            continue
+        pl = rec["payload"]
+        fade = mean_downlink_fade(pl["b"])
+        q = pl["eta0_a"] * fade * pl["eta0_b"] * fade
+        drawn, mean, var = moments.get(rec["session_id"], (0, 0.0, 0.0))
+        moments[rec["session_id"]] = (drawn + pl["survivors"],
+                                      mean + pl["attempted"] * q,
+                                      var + pl["attempted"] * q * (1.0 - q))
+    return {sid: ((drawn - mean) / math.sqrt(var) if var > 0.0
+                  else 0.0 if drawn == mean else math.inf)
+            for sid, (drawn, mean, var) in moments.items()}
 
 
 def brute_force_select(satellites, pos_a, pos_b, positions_at, min_elevation):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from audit_util import eta_from_db
+from audit_util import eta_from_db, mean_downlink_fade
 from qsatnet import channel as ch
 from qsatnet.engine import make_stream
 
@@ -30,7 +30,7 @@ class TestBeamRadius:
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
     def test_nonfinite_z_rejected(self, z):
-        with pytest.raises(ValueError, match="z must be"):
+        with pytest.raises(ValueError, match="^distance must be"):
             ch.beam_radius(ch.BeamParams(0.25), z)
 
 
@@ -110,6 +110,14 @@ class TestDownlinkSampling:
         se = etas.std() / 1000.0
         assert abs(etas.mean() - expected) < 3.0 * se
         assert expected == pytest.approx(0.2761, abs=1e-4)
+
+    @pytest.mark.parametrize("b", [0.01, 0.3, 1.0, 3.0])
+    def test_mean_matches_closed_form_with_clamp(self, b):
+        # the survivor z-bound's fade mean, clamp included, against draws
+        etas = ch.sample_downlink(ch.DownlinkGaussianTail(1.0, b),
+                                  make_stream(3, "dl", "clamp"), 1_000_000)
+        se = etas.std() / 1000.0
+        assert abs(etas.mean() - mean_downlink_fade(b)) < 5.0 * se
 
     def test_b_to_zero_limit(self):
         for b in (1e-4, 1e-3):
@@ -258,8 +266,6 @@ class TestModelValidation:
                 ch.BeamParams(bad)
             with pytest.raises(ValueError):
                 ch.BeamParams(0.1, bad)
-            with pytest.raises(ValueError):
-                ch.FixedDiffraction(ch.BeamParams(0.1), bad, 1e6)
             with pytest.raises(ValueError, match="target_mean_loss_db"):
                 ch.calibrate_uplink_sigma(0.5, 1.0, bad)
 
@@ -280,8 +286,6 @@ class TestModelValidation:
                 f"the float range at distance={z!r}")
         with pytest.raises(ValueError, match=f"^{prefix}"):
             ch.diffraction_transmittance(ch.BeamParams(w0), rx, z)
-        with pytest.raises(ValueError, match=f"^{prefix}"):
-            ch.FixedDiffraction(ch.BeamParams(w0), rx, z).eta
 
     @pytest.mark.parametrize("w0", [1e200, 1e-300])
     def test_rayleigh_range_checked_when_built(self, w0):
@@ -304,8 +308,8 @@ class TestModelValidation:
 
     def test_budget_at_the_float_edge_is_kept(self):
         # an infinite Rayleigh range leaves the beam at its waist
-        model = ch.FixedDiffraction(ch.BeamParams(1e154), 1e153, 1e300)
-        assert model.eta == 1.0 - math.exp(-2.0 * 1e153**2 / 1e154**2)
+        eta = ch.diffraction_transmittance(ch.BeamParams(1e154), 1e153, 1e300)
+        assert eta == 1.0 - math.exp(-2.0 * 1e153**2 / 1e154**2)
 
     def test_beam_params(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from audit_util import survivor_z_scores
 from qsatnet import rates
 from qsatnet.cli import main
 from qsatnet.engine import COUNT_MAX
@@ -83,6 +84,12 @@ class TestRun:
         scenario.write_text(text)
         assert run_cli(["run", str(scenario), "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        # a z-bound a re-pin cannot absorb: each of these 11 runs has one
+        # session, whose survivor count must lie within 5 standard
+        # deviations of the binomial mean that its batches' eta0 and b give
+        z = survivor_z_scores(json.loads(line)
+                              for line in out.read_text().splitlines())
+        assert len(z) == 1 and abs(z[1]) < 5.0
 
     def test_seed_override_changes_trace(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -452,6 +459,22 @@ class TestChannelSample:
     def test_uplink_bytes_pinned(self, tmp_path, args, digest):
         out = tmp_path / "ul.out"
         assert run_cli(args + ["--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # the fixed budget goes through math alone; the downlink's normals go
+    # through numpy's SIMD log1p and cos, so its pin holds under one numpy
+    # SIMD dispatch, like every Monte-Carlo pin (see conftest)
+    @pytest.mark.parametrize("args, digest", [
+        (["--model", "fixed"],
+         "291fc2d98c24acdd902c4e9f3debda4b4812cf5caa9a9a17650afb9837397b4f"),
+        (["--model", "fixed", "--format", "jsonl"],
+         "4ef94fd064546897d89e3b84aaf323b0ded4e003b9638bff2d875e675a3147d9"),
+        (["--model", "downlink", "--n", "1000", "--seed", "7"],
+         "e986c763690484a2143c7ea6d83b18d406928685ffcdafb5c16b6dc866ee6a7b"),
+    ], ids=["fixed-csv", "fixed-jsonl", "downlink-csv"])
+    def test_fixed_and_downlink_bytes_pinned(self, tmp_path, args, digest):
+        out = tmp_path / "sample.out"
+        assert run_cli(["channel-sample", *args, "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("model, flag, value", [

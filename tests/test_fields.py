@@ -72,11 +72,6 @@ def beam(**fields):
     return ch.BeamParams(**{"w0": 0.2, "wavelength": 1.55e-6, **fields})
 
 
-def fixed(**fields):
-    return ch.FixedDiffraction(**{"beam": beam(), "rx_radius": 1.25,
-                                  "distance": 1e6, **fields})
-
-
 def downlink(**fields):
     return ch.DownlinkGaussianTail(**{"eta0": 0.3, "b": 0.1, **fields})
 
@@ -131,8 +126,6 @@ CONSTRUCTORS = [
     (leo, "phase_at_epoch", bad_reals()),
     (beam, "w0", POSITIVE),
     (beam, "wavelength", POSITIVE),
-    (fixed, "rx_radius", POSITIVE),
-    (fixed, "distance", POSITIVE),
     (downlink, "eta0", UNIT),
     (downlink, "b", NONNEGATIVE),
     (uplink, "eta_diffraction", UNIT),

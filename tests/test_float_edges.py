@@ -90,14 +90,11 @@ BUDGET = ("w0", "wavelength", "rx_radius", "distance")
 CALLS = {
     "beam_radius": (
         lambda w0, lam, z: ch.beam_radius(_beam(w0, lam), z),
-        ("w0", "wavelength", "z", "distance"),
+        ("w0", "wavelength", "distance"),
         lambda w0, lam, z: (w0, MAX)),
     "diffraction_transmittance": (
         lambda w0, lam, rx, z: ch.diffraction_transmittance(
             _beam(w0, lam), rx, z),
-        BUDGET, lambda *_: (0.0, 1.0)),
-    "FixedDiffraction.eta": (
-        lambda w0, lam, rx, z: ch.FixedDiffraction(_beam(w0, lam), rx, z).eta,
         BUDGET, lambda *_: (0.0, 1.0)),
     "db_from_eta": (_db, ("eta",), lambda eta: (0.0, MAX)),
     "sample_downlink": (
@@ -126,18 +123,10 @@ CALLS = {
          "target"), lambda *_: (0.0, MAX)),
     "rci_array": (
         rates.rci_array, ("eta",), lambda eta: (0.0, rates.RATE_SATURATION)),
-    "mean_rate fixed": (
-        lambda w0, lam, rx, z: rates.mean_rate(
-            ch.FixedDiffraction(_beam(w0, lam), rx, z), DRAWS, _stream()),
-        BUDGET, lambda *_: (0.0, rates.RATE_SATURATION)),
     "mean_rate downlink": (
         lambda eta0, b: rates.mean_rate(ch.DownlinkGaussianTail(eta0, b),
                                         DRAWS, _stream()),
         ("eta0", "b"), lambda *_: (0.0, rates.RATE_SATURATION)),
-    "mean_rate uplink": (
-        lambda eta, w, sigma, tau: rates.mean_rate(
-            _uplink(eta, w, sigma, tau), DRAWS, _stream()),
-        UPLINK, lambda *_: (0.0, rates.RATE_SATURATION)),
     "sweep": (
         lambda w0, rx, z, b, lam: rates.sweep([w0], [rx], z, b, lam,
                                               n_samples=DRAWS),

@@ -1,14 +1,18 @@
-"""Every module-level import in src/qsatnet is read by its own module.
+"""Every module-level import in src/qsatnet is read by its own module, and
+every qsatnet name README.md quotes exists.
 
-The project ships no linter, so this stdlib check catches the dead imports
-that deleting code leaves behind."""
+The project ships no linter, so these stdlib checks catch the dead imports
+and the stale names that deleting code leaves behind."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qsatnet"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qsatnet"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +42,40 @@ def test_checker_finds_an_unused_import():
                          ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dotted_names(text: str) -> list[str]:
+    """The backticked names of the form module.attr in text, in order: a
+    lowercase module name, then one or more attributes."""
+    return re.findall(r"`((?:qsatnet\.)?[a-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)
+
+
+def resolves(name: str) -> bool:
+    """Whether name, with or without its qsatnet. prefix, is a qsatnet
+    module followed by attributes that it has."""
+    module, *attrs = name.removeprefix("qsatnet.").split(".")
+    try:
+        obj = importlib.import_module(f"qsatnet.{module}")
+    except ModuleNotFoundError:
+        return False
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_checker_finds_a_stale_name():
+    text = ("`rates.sweep`, `qsatnet.engine.DRAW_CHUNK`, `Network.request`, "
+            "`channel.Gone`, `nomodule.x`")
+    names = dotted_names(text)
+    assert names == ["rates.sweep", "qsatnet.engine.DRAW_CHUNK",
+                     "channel.Gone", "nomodule.x"]
+    assert [n for n in names if not resolves(n)] == ["channel.Gone",
+                                                     "nomodule.x"]
+
+
+def test_every_readme_name_resolves():
+    names = dotted_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert names        # the pattern still finds the README's names
+    assert [n for n in names if not resolves(n)] == []
