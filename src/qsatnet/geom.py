@@ -78,6 +78,10 @@ class Satellite:
     phase_at_epoch: float = 0.0
 
     def __post_init__(self):
+        # "GEO" as a str would pass the GEO altitude band, yet no session
+        # would take it for a coordinator
+        if not isinstance(self.tier, Tier):
+            raise ValueError(f"tier must be a geom.Tier, got {self.tier!r}")
         check_count(self.id, "id")
         check_real(self.aperture_radius, "aperture_radius", 0, strict=True)
         band = ((LEO_ALTITUDE_MIN, LEO_ALTITUDE_MAX) if self.tier is Tier.LEO

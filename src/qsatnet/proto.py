@@ -283,24 +283,6 @@ class EbitPool:
         return taken
 
 
-@dataclass(frozen=True)
-class DistillationPolicy:
-    """Abstract distillation: m = floor(n_valid * yield_rate) after the
-    classical rounds complete.  yield_rate None means "use the mean per-use
-    rate of the session's two-arm product channel"."""
-    rounds: int = 1
-    yield_rate: Optional[float] = None
-    yield_samples: int = 100_000
-
-    def __post_init__(self):
-        check_count(self.rounds, "rounds", 1, COUNT_MAX)
-        if self.yield_rate is not None:
-            # stored as a float, the type TRACE_SCHEMA gives it
-            rate = check_real(self.yield_rate, "yield_rate", 0.0, 1.0)
-            object.__setattr__(self, "yield_rate", rate)
-        check_count(self.yield_samples, "yield_samples", 1, COUNT_MAX)
-
-
 def distilled_count(n_valid: int, yield_rate: float) -> int:
     return int(math.floor(n_valid * yield_rate))
 
@@ -328,7 +310,6 @@ class Session:
     b_id: int
     qubits_requested: int
     pairs_target: int
-    policy: DistillationPolicy
     pool: EbitPool
     phase: Phase = Phase.IDLE
     geo_id: Optional[int] = None
@@ -346,7 +327,13 @@ class Session:
 class Network:
     """Stations, satellites, and channel parameters driving sessions on an
     engine.  Protocol logic runs single-threaded inside the event loop;
-    sessions are isolated state machines."""
+    sessions are isolated state machines.
+
+    Every session distills alike: after distill_rounds classical round
+    trips between its stations it keeps m = floor(n_valid * yield_rate) of
+    its n_valid fresh raw pairs.  yield_rate None means the mean per-use
+    rate of the session's two-arm product channel, sampled from
+    yield_samples pairs of draws."""
 
     def __init__(self, engine: Engine, stations: Sequence[geom.GroundStation],
                  satellites: Sequence[geom.Satellite], *,
@@ -357,6 +344,9 @@ class Network:
                  batch_size: Optional[int] = None,
                  source_rate_hz: float = 1e6,
                  min_raw_pairs: int = 1,
+                 distill_rounds: int = 1,
+                 yield_rate: Optional[float] = None,
+                 yield_samples: int = 100_000,
                  trace_sink: Optional[Callable[[dict], None]] = None):
         self.engine = engine
         self.stations = {s.id: s for s in stations}
@@ -367,12 +357,22 @@ class Network:
         self.downlink_b = check_real(downlink_b, "downlink_b", 0)
         self.min_elevation = check_real(min_elevation, "min_elevation",
                                         -math.pi / 2, math.pi / 2)
+        if not isinstance(earth_rotation, bool):
+            raise ValueError(f"earth_rotation must be a bool, got "
+                             f"{earth_rotation!r}")
         self.earth_rotation = earth_rotation
         self.batch_size = (batch_size if batch_size is None
                            else check_count(batch_size, "batch_size", 1))
         self.source_rate_hz = check_real(source_rate_hz, "source_rate_hz", 0,
                                          strict=True)
         self.min_raw_pairs = check_count(min_raw_pairs, "min_raw_pairs")
+        self.distill_rounds = check_count(distill_rounds, "distill_rounds", 1,
+                                          COUNT_MAX)
+        # stored as a float, the type TRACE_SCHEMA gives it
+        self.yield_rate = (yield_rate if yield_rate is None
+                           else check_real(yield_rate, "yield_rate", 0.0, 1.0))
+        self.yield_samples = check_count(yield_samples, "yield_samples", 1,
+                                         COUNT_MAX)
         # records go to trace_sink when one is given, else into self.trace
         self.trace: list[dict] = []
         self._record = trace_sink if trace_sink is not None else self.trace.append
@@ -435,8 +435,8 @@ class Network:
 
     # -- step 1: terrestrial request ----------------------------------------
 
-    def request(self, a_id: int, b_id: int, qubits: int, pairs_target: int,
-                policy: Optional[DistillationPolicy] = None) -> Session:
+    def request(self, a_id: int, b_id: int, qubits: int,
+                pairs_target: int) -> Session:
         """Open a session at engine.now and radio the request to the
         coordination tier."""
         if a_id == b_id:
@@ -453,7 +453,7 @@ class Network:
                         min(station_a.memory_capacity, station_b.memory_capacity))
         # sessions are never removed, so ids count up from 1
         sess = Session(len(self.sessions) + 1, a_id, b_id, qubits, pairs_target,
-                       policy or DistillationPolicy(), pool)
+                       pool)
         self.sessions[sess.id] = sess
         self._transition(sess, Phase.REQUESTED)
 
@@ -615,16 +615,16 @@ class Network:
             self._fail(sess, Failure.INSUFFICIENT_ENTANGLEMENT)
             return
         rtt = 2.0 * self._ground_chord(sess, now) / geom.C_LIGHT
-        completion_t = now + sess.policy.rounds * rtt
+        completion_t = now + self.distill_rounds * rtt
         self._emit(sess.id, "distill_started",
-                   {"raw_count": raw_count, "rounds": sess.policy.rounds,
+                   {"raw_count": raw_count, "rounds": self.distill_rounds,
                     "rtt_s": rtt, "completion_t": completion_t})
         self._at(completion_t, "distill_completion", self._on_distill_complete,
                  sess)
 
     def _session_yield_rate(self, sess: Session) -> float:
-        if sess.policy.yield_rate is not None:
-            return sess.policy.yield_rate
+        if self.yield_rate is not None:
+            return self.yield_rate
         # mean per-use rate of the two-arm product channel, sampled once per
         # session from its own substreams
         model_a, model_b = (ch.DownlinkGaussianTail(eta0, self.downlink_b)
@@ -634,14 +634,15 @@ class Network:
         return min(1.0, chunked_mean(
             lambda k: rci_array(ch.sample_downlink(model_a, rng_a, k)
                                 * ch.sample_downlink(model_b, rng_b, k)),
-            sess.policy.yield_samples))
+            self.yield_samples))
 
     def _on_distill_complete(self, sess: Session) -> None:
         now = self.engine.now
         valid_ids = sess.pool.fresh_raw(now)
-        yield_rate = self._session_yield_rate(sess)
+        # with no fresh pair m is 0 at any rate, so no yield is sampled
+        yield_rate = self._session_yield_rate(sess) if valid_ids else 0.0
         m = distilled_count(len(valid_ids), yield_rate)
-        if len(valid_ids) == 0 or m == 0:
+        if m == 0:
             self._fail(sess, Failure.INSUFFICIENT_ENTANGLEMENT)
             return
         distilled_ids = range(self._next_pair_id, self._next_pair_id + m)

@@ -3,8 +3,10 @@
 Layout (# comments allowed anywhere).  The keys commented out are optional:
 an absent one is not passed on, so the constructor it feeds takes its own
 default.  [scenario] feeds Engine (seed), Engine.run_until (t_end) and
-Network (earth_rotation, min_elevation_deg); [channel] and the [protocol]
-batch keys feed Network too.
+Network (earth_rotation, min_elevation_deg); [channel] feeds Network too.
+[protocol] feeds Network.request (requester, responder, qubits,
+pairs_target), and each of its other keys the Network keyword of the same
+name.
 
     [scenario]
     t_end = 1.0
@@ -68,7 +70,7 @@ from decimal import Decimal
 from typing import Optional
 
 from . import geom
-from .proto import DistillationPolicy, Network
+from .proto import Network
 from .engine import (COUNT_MAX, DEFAULT_SEED, SEED_MAX, Engine, check_count,
                      check_real)
 
@@ -167,19 +169,17 @@ _SATELLITE = {
     "raan_deg": ("raan", _deg(), False),
     "phase_at_epoch_deg": ("phase_at_epoch", _deg(), False),
 }
-# [protocol] feeds three constructors, one table each
+# [protocol] feeds two constructors, one table each
 _REQUEST = {
     "requester": ("a_id", str, True),     # a station name until resolved
     "responder": ("b_id", str, True),
     "qubits": ("qubits", _int(1, COUNT_MAX), True),
     "pairs_target": ("pairs_target", _int(1, COUNT_MAX), True),
 }
-_POLICY = {
-    "distill_rounds": ("rounds", _int(1, COUNT_MAX), False),
+_NETWORK = {
+    "distill_rounds": ("distill_rounds", _int(1, COUNT_MAX), False),
     "yield_rate": ("yield_rate", _real(0, 1), False),
     "yield_samples": ("yield_samples", _int(1, COUNT_MAX), False),
-}
-_NETWORK = {
     "batch_size": ("batch_size", _int(1), False),
     "source_rate_hz": ("source_rate_hz", _real(0, strict=True), False),
     "min_raw_pairs": ("min_raw_pairs", _int(0), False),
@@ -258,9 +258,8 @@ def load_scenario(path: str) -> Scenario:
 
     request = None
     if parser.has_section("protocol"):
-        request, policy, batching = _read(parser, "protocol", _REQUEST,
-                                          _POLICY, _NETWORK)
-        network.update(batching)
+        request, protocol = _read(parser, "protocol", _REQUEST, _NETWORK)
+        network.update(protocol)
         for keyword, key in (("a_id", "requester"), ("b_id", "responder")):
             name = request[keyword]
             if name not in station_ids:
@@ -269,7 +268,6 @@ def load_scenario(path: str) -> Scenario:
             request[keyword] = station_ids[name]
         if request["a_id"] == request["b_id"]:
             raise ConfigError("requester and responder must differ", "protocol")
-        request["policy"] = DistillationPolicy(**policy)
 
     if not stations:
         raise ConfigError("no [station.*] sections defined")

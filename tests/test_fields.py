@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from qsatnet import channel as ch
 from qsatnet import geom
 from qsatnet.engine import COUNT_MAX, Engine, make_stream
-from qsatnet.proto import DistillationPolicy, EbitPool, Network
+from qsatnet.proto import EbitPool, Network
 from qsatnet.scenario import ConfigError, load_scenario
 from test_scenario import MINIMAL, with_field
 
@@ -50,6 +50,9 @@ def above(hi):
 POSITIVE = bad_reals(0, strict=True)
 NONNEGATIVE = bad_reals(0)
 UNIT = bad_reals(0, 1)
+# a flag takes True or False only: "off", 0.0, None and [] are not flags
+NOT_BOOL = st.one_of(st.sampled_from(["off", 0.0, None, []]), st.integers(),
+                     st.floats(), st.text())
 HALF_PI = math.pi / 2
 
 
@@ -132,9 +135,6 @@ CONSTRUCTORS = [
     (uplink, "beam_radius_at_rx", POSITIVE),
     (uplink, "sigma_wander", NONNEGATIVE),
     (uplink, "fade_coherence_time", POSITIVE),
-    (DistillationPolicy, "rounds", bad_counts(1, COUNT_MAX)),
-    (DistillationPolicy, "yield_rate", UNIT),
-    (DistillationPolicy, "yield_samples", bad_counts(1, COUNT_MAX)),
     (pool, "coherence_time", POSITIVE),
     (pool, "capacity", bad_counts()),
     (network, "wavelength", POSITIVE),
@@ -143,6 +143,10 @@ CONSTRUCTORS = [
     (network, "batch_size", bad_counts(1)),
     (network, "source_rate_hz", POSITIVE),
     (network, "min_raw_pairs", bad_counts()),
+    (network, "distill_rounds", bad_counts(1, COUNT_MAX)),
+    (network, "yield_rate", UNIT),
+    (network, "yield_samples", bad_counts(1, COUNT_MAX)),
+    (network, "earth_rotation", NOT_BOOL),
     (request, "qubits", bad_counts(1, COUNT_MAX)),
     (request, "pairs_target", bad_counts(1, COUNT_MAX)),
 ]

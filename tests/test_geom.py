@@ -196,6 +196,14 @@ class TestValidation:
             Satellite(1, Tier.GEO, 2e7, 0.2)
         Satellite(1, Tier.GEO, geom.GEO_ALTITUDE, 0.2)
 
+    @pytest.mark.parametrize("tier, altitude", [
+        # a str "GEO" used to construct, and its session then failed
+        # NoCoordinator; a str "LEO" failed on the GEO altitude band
+        ("GEO", geom.GEO_ALTITUDE), ("LEO", 1200e3)])
+    def test_tier_must_be_a_tier(self, tier, altitude):
+        with pytest.raises(ValueError, match=r"^tier must be a geom\.Tier"):
+            Satellite(1, tier, altitude, 0.2)
+
     def test_leo_altitude_bounds(self):
         with pytest.raises(ValueError):
             Satellite(1, Tier.LEO, 300e3, 0.2)

@@ -1,10 +1,11 @@
 """Every module-level import in src/qsatnet is read by its own module, and
-every qsatnet name README.md quotes exists.
+every qsatnet name README.md quotes exists, dotted or bare.
 
 The project ships no linter, so these stdlib checks catch the dead imports
 and the stale names that deleting code leaves behind."""
 
 import ast
+import builtins
 import importlib
 import re
 from pathlib import Path
@@ -79,3 +80,30 @@ def test_every_readme_name_resolves():
     names = dotted_names((ROOT / "README.md").read_text(encoding="utf-8"))
     assert names        # the pattern still finds the README's names
     assert [n for n in names if not resolves(n)] == []
+
+
+# json's spellings of the non-finite floats: README quotes them as output
+# text, and no module defines them
+JSON_WORDS = {"Infinity", "NaN"}
+
+
+def stale_bare_names(text: str) -> list[str]:
+    """The backticked bare CamelCase names in text, in order, that are
+    neither an attribute of some qsatnet module nor a Python builtin."""
+    modules = [importlib.import_module(f"qsatnet.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    return [name for name in re.findall(r"`([A-Z][a-z][A-Za-z0-9]*)`", text)
+            if name not in JSON_WORDS and not hasattr(builtins, name)
+            and not any(hasattr(module, name) for module in modules)]
+
+
+def test_checker_finds_a_stale_bare_name():
+    text = ("`Network`, `ValueError`, `NaN`, `Infinity`, `DRAW_CHUNK`, "
+            "`Network.request`, `DistillationPolicy`, `Gone`")
+    assert stale_bare_names(text) == ["DistillationPolicy", "Gone"]
+
+
+def test_every_readme_bare_name_resolves():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert re.search(r"`Network`", text)    # the pattern still has names
+    assert stale_bare_names(text) == []

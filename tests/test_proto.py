@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from audit_util import brute_force_select, replay_audit
 from qsatnet import channel as ch
 from qsatnet import geom, proto
+from qsatnet.channel import sample_downlink
 from qsatnet.engine import DRAW_CHUNK, Engine, make_stream
-from qsatnet.proto import (DistillationPolicy, EbitPool, Failure, Network,
-                           Phase, distilled_count, sample_pair_survival)
+from qsatnet.proto import (EbitPool, Failure, Network, Phase,
+                           distilled_count, sample_pair_survival)
 from test_geom import (reference_ground_position, reference_line_of_sight,
                        reference_satellite_position)
 
@@ -152,8 +153,8 @@ class TestBuildingBlocks:
 class TestConstruction:
     @pytest.mark.parametrize("build, field, value", [
         # batch_size 0 used to hang run_until, source_rate_hz 0 failed at the
-        # second event, wavelength -1 inside the first batch, and rounds inf
-        # left the session in DISTILLING
+        # second event, wavelength -1 inside the first batch, and
+        # distill_rounds inf left the session in DISTILLING
         (small_network, "batch_size", 0),
         (small_network, "batch_size", 2.5),
         (small_network, "source_rate_hz", 0.0),
@@ -162,8 +163,8 @@ class TestConstruction:
         (small_network, "downlink_b", math.inf),
         (small_network, "min_elevation", math.nan),
         (small_network, "min_raw_pairs", -1),
-        (DistillationPolicy, "rounds", math.inf),
-        (DistillationPolicy, "yield_samples", True),
+        (small_network, "distill_rounds", math.inf),
+        (small_network, "yield_samples", True),
     ])
     def test_bad_field_rejected_when_built(self, build, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -202,10 +203,9 @@ class TestRequest:
             net.request(1, 9, qubits=1, pairs_target=10)
 
     def test_concurrent_requests_are_isolated(self):
-        eng, net = small_network()
-        lossless = DistillationPolicy(yield_rate=1.0)
-        s1 = net.request(1, 2, qubits=1, pairs_target=100, policy=lossless)
-        s2 = net.request(1, 2, qubits=1, pairs_target=100, policy=lossless)
+        eng, net = small_network(yield_rate=1.0)
+        s1 = net.request(1, 2, qubits=1, pairs_target=100)
+        s2 = net.request(1, 2, qubits=1, pairs_target=100)
         assert s1.id != s2.id
         eng.run_until(2.0)
         assert s1.phase is Phase.DONE and s2.phase is Phase.DONE
@@ -213,11 +213,10 @@ class TestRequest:
         assert s1.pairs_survived != 0 and s1.pairs_survived != s2.pairs_survived
 
     def test_request_after_clock_moved_opens_at_now(self):
-        eng, net = small_network()
-        lossless = DistillationPolicy(yield_rate=1.0)
-        first = net.request(1, 2, qubits=1, pairs_target=100, policy=lossless)
+        eng, net = small_network(yield_rate=1.0)
+        first = net.request(1, 2, qubits=1, pairs_target=100)
         eng.run_until(0.5)
-        second = net.request(1, 2, qubits=1, pairs_target=100, policy=lossless)
+        second = net.request(1, 2, qubits=1, pairs_target=100)
         eng.run_until(1.5)
         assert second.id == 2
         for name in ("request_sent", "leo_command_sent"):
@@ -289,9 +288,8 @@ class TestDistribution:
 
     def test_deposits_capped_by_memory(self):
         tiny = [station(1, 0.0, capacity=5), station(2, 4.0, capacity=7)]
-        eng, net = small_network(stations=tiny)
-        sess = net.request(1, 2, qubits=1, pairs_target=5000,
-                           policy=DistillationPolicy(yield_rate=1.0))
+        eng, net = small_network(stations=tiny, yield_rate=1.0)
+        sess = net.request(1, 2, qubits=1, pairs_target=5000)
         eng.run_until(1.0)
         deposited = events(net, "pairs_deposited")[0]["payload"]
         assert deposited["count"] == 5          # min of the two capacities
@@ -316,9 +314,8 @@ class TestDistribution:
         stations = [station(1, 0.0, coherence=0.3, capacity=2500),
                     station(2, 4.0, coherence=0.3, capacity=2500)]
         eng, net = small_network(seed=5, stations=stations, batch_size=2000,
-                                 source_rate_hz=2e4)
-        sess = net.request(1, 2, qubits=1, pairs_target=40_000,
-                           policy=DistillationPolicy(yield_rate=1.0))
+                                 source_rate_hz=2e4, yield_rate=1.0)
+        sess = net.request(1, 2, qubits=1, pairs_target=40_000)
         eng.run_until(3.0)
         assert sess.phase is Phase.DONE
         deposits = [r["payload"] for r in events(net, "pairs_deposited")]
@@ -377,9 +374,8 @@ class TestPlannedBatches:
                  else batches * 600 + extra)
         eng, net = small_network(seed=batches, batch_size=batch_size,
                                  source_rate_hz=rate, earth_rotation=rotation,
-                                 downlink_b=b)
-        sess = net.request(1, 2, qubits=1, pairs_target=pairs,
-                           policy=DistillationPolicy(yield_rate=0.5))
+                                 downlink_b=b, yield_rate=0.5)
+        sess = net.request(1, 2, qubits=1, pairs_target=pairs)
         eng.run_until(1e6)
         start = events(net, "leo_command_received")[0]["t"]
         got = [(r["event"], r["t"] if r["event"] == "link_lost" else (
@@ -394,9 +390,8 @@ class TestPlannedBatches:
         # only the plan draws, sized from the pairs it has left, so no call
         # draws past the session's target
         draws = counted_survival_draws(monkeypatch)
-        eng, net = small_network(batch_size=100)
-        sess = net.request(1, 2, qubits=1, pairs_target=3 * DRAW_CHUNK,
-                           policy=DistillationPolicy(yield_rate=0.5))
+        eng, net = small_network(batch_size=100, yield_rate=0.5)
+        sess = net.request(1, 2, qubits=1, pairs_target=3 * DRAW_CHUNK)
         eng.run_until(2.0)
         batches = len(events(net, "batch_emitted"))
         assert batches == -(-sess.pairs_target // 100)
@@ -424,13 +419,13 @@ class TestLinkLoss:
                 leo(201, 13.9, altitude=500e3)]   # el ~10.2 deg and falling
         eng = Engine(seed=7)
         net = Network(eng, stations, sats, batch_size=batch_size,
-                      source_rate_hz=source_rate_hz, min_raw_pairs=min_raw_pairs)
+                      source_rate_hz=source_rate_hz, min_raw_pairs=min_raw_pairs,
+                      yield_rate=1.0)
         return eng, net
 
     def test_partial_deposit_then_continue(self):
         eng, net = self.setting_relay_network(min_raw_pairs=1)
-        sess = net.request(1, 2, qubits=1, pairs_target=1000,
-                           policy=DistillationPolicy(yield_rate=1.0))
+        sess = net.request(1, 2, qubits=1, pairs_target=1000)
         eng.run_until(30.0)
         assert len(events(net, "batch_emitted")) == 1   # second batch never fires
         assert len(events(net, "link_lost")) == 1
@@ -445,8 +440,7 @@ class TestLinkLoss:
         draws = counted_survival_draws(monkeypatch)
         eng, net = self.setting_relay_network(min_raw_pairs=1, batch_size=1,
                                               source_rate_hz=1000.0)
-        net.request(1, 2, qubits=1, pairs_target=10**6,
-                    policy=DistillationPolicy(yield_rate=1.0))
+        net.request(1, 2, qubits=1, pairs_target=10**6)
         eng.run_until(30.0)
         emitted = sum(r["payload"]["attempted"]
                       for r in events(net, "batch_emitted"))
@@ -456,8 +450,7 @@ class TestLinkLoss:
 
     def test_below_minimum_raw_fails(self):
         eng, net = self.setting_relay_network(min_raw_pairs=1000)
-        sess = net.request(1, 2, qubits=1, pairs_target=1000,
-                           policy=DistillationPolicy(yield_rate=1.0))
+        sess = net.request(1, 2, qubits=1, pairs_target=1000)
         eng.run_until(30.0)
         assert sess.phase is Phase.FAILED
         assert sess.failure_reason == Failure.LINK_LOST
@@ -467,8 +460,7 @@ class TestLinkLoss:
         # last few batches still in flight, and their arrivals do nothing
         eng, net = self.setting_relay_network(min_raw_pairs=10**9, batch_size=1,
                                               source_rate_hz=1000.0)
-        sess = net.request(1, 2, qubits=1, pairs_target=10**6,
-                           policy=DistillationPolicy(yield_rate=1.0))
+        sess = net.request(1, 2, qubits=1, pairs_target=10**6)
         eng.run_until(30.0)
         assert sess.failure_reason == Failure.LINK_LOST
         assert net.trace[-1]["event"] == "session_failed"
@@ -478,17 +470,15 @@ class TestLinkLoss:
 
 class TestDistillation:
     def test_yield_floor_applied(self):
-        eng, net = small_network(seed=21)
-        sess = net.request(1, 2, qubits=1, pairs_target=10_000,
-                           policy=DistillationPolicy(yield_rate=0.5121))
+        eng, net = small_network(seed=21, yield_rate=0.5121)
+        sess = net.request(1, 2, qubits=1, pairs_target=10_000)
         eng.run_until(1.0)
         done = events(net, "distill_completed")[0]["payload"]
         assert done["distilled"] == distilled_count(done["n_valid"], 0.5121)
 
     def test_completion_after_round_trips(self):
-        eng, net = small_network()
-        net.request(1, 2, qubits=1, pairs_target=1000,
-                    policy=DistillationPolicy(rounds=3, yield_rate=0.9))
+        eng, net = small_network(distill_rounds=3, yield_rate=0.9)
+        net.request(1, 2, qubits=1, pairs_target=1000)
         eng.run_until(1.0)
         started = events(net, "distill_started")[0]
         chord = 2.0 * geom.R_EARTH * math.sin(math.radians(2.0))
@@ -500,12 +490,35 @@ class TestDistillation:
     def test_expired_raw_pairs_fail_the_session(self):
         # memories forget in 1 ms but the classical round trip takes ~3 ms
         stations = [station(1, 0.0, coherence=1e-3), station(2, 4.0, coherence=1e-3)]
-        eng, net = small_network(stations=stations)
-        sess = net.request(1, 2, qubits=1, pairs_target=1000,
-                           policy=DistillationPolicy(yield_rate=1.0))
+        eng, net = small_network(stations=stations, yield_rate=1.0)
+        sess = net.request(1, 2, qubits=1, pairs_target=1000)
         eng.run_until(1.0)
         assert sess.phase is Phase.FAILED
         assert sess.failure_reason == Failure.INSUFFICIENT_ENTANGLEMENT
+
+    @pytest.mark.parametrize("coherence, drawn", [(1e-3, 0), (1.0, 2 * 1000)])
+    def test_model_yield_drawn_only_for_fresh_pairs(self, monkeypatch,
+                                                    coherence, drawn):
+        # with every raw pair expired m is 0 at any yield, so the session
+        # fails without a yield draw; with fresh pairs it draws yield_samples
+        # values from each arm's yield stream
+        draws = []
+
+        def counted(model, rng, n):
+            draws.append((rng.key, n))
+            return sample_downlink(model, rng, n)
+        monkeypatch.setattr(ch, "sample_downlink", counted)
+        stations = [station(1, 0.0, coherence=coherence),
+                    station(2, 4.0, coherence=coherence)]
+        eng, net = small_network(stations=stations, yield_samples=1000)
+        sess = net.request(1, 2, qubits=1, pairs_target=1000)
+        eng.run_until(1.0)
+        keys = {eng.stream("proto", sess.id, arm).key
+                for arm in ("yield_a", "yield_b")}
+        assert sum(n for key, n in draws if key in keys) == drawn
+        assert events(net, "distill_started")
+        if not drawn:
+            assert sess.failure_reason == Failure.INSUFFICIENT_ENTANGLEMENT
 
     def test_default_yield_is_product_channel_rate(self):
         eng, net = small_network(seed=33)

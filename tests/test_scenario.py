@@ -6,7 +6,7 @@ import pytest
 
 from qsatnet import cli, geom, scenario
 from qsatnet.engine import Engine
-from qsatnet.proto import DistillationPolicy, Network
+from qsatnet.proto import Network
 from qsatnet.scenario import ConfigError, load_scenario, run_scenario
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "example.ini"
@@ -245,6 +245,7 @@ class TestKeyTables:
         network, _ = run_scenario(sc)
         bare = Network(Engine(), sc.stations, sc.satellites)
         for name in ("batch_size", "source_rate_hz", "min_raw_pairs",
+                     "distill_rounds", "yield_rate", "yield_samples",
                      "wavelength", "downlink_b", "min_elevation",
                      "earth_rotation"):
             assert getattr(network, name) == getattr(bare, name)
@@ -252,7 +253,6 @@ class TestKeyTables:
         assert network.satellites[201] == geom.Satellite(
             201, geom.Tier.LEO, 1200e3, 0.2,
             phase_at_epoch=math.radians(2.0))
-        assert network.sessions[1].policy == DistillationPolicy()
 
     def test_docstring_layout_loads(self, tmp_path):
         # the layout block with every optional key uncommented
@@ -263,7 +263,7 @@ class TestKeyTables:
         sc = load_scenario(write_scenario(tmp_path, body))
         assert sc.seed == 42
         assert sc.stations[0].memory_capacity == 5000
-        assert sc.request["policy"].rounds == 2
+        assert set(sc.request) == {"a_id", "b_id", "qubits", "pairs_target"}
         assert sc.network["min_raw_pairs"] == 10
         # every Network keyword the file sets reaches the Network it runs
         network, _ = run_scenario(sc)
@@ -274,6 +274,9 @@ class TestKeyTables:
         assert network.batch_size == 5000
         assert network.source_rate_hz == 2e6
         assert network.min_raw_pairs == 10
+        assert network.distill_rounds == 2
+        assert network.yield_rate == 0.1
+        assert network.yield_samples == 50000
 
 
 class TestRunScenario:

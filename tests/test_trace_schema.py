@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qsatnet.engine import Engine
-from qsatnet.proto import (ID_LIST, TRACE_SCHEMA, DistillationPolicy, Failure,
-                           Network, trace_line)
+from qsatnet.proto import ID_LIST, TRACE_SCHEMA, Failure, Network, trace_line
 from qsatnet.scenario import load_scenario, run_scenario
 from test_proto import geo, leo, small_network, station
 
@@ -83,17 +82,16 @@ def link_lost(tmp_path):
     eng = Engine(seed=7)
     net = Network(eng, [station(1, 0.0, 30.0), station(2, 1.0, 30.0)],
                   [geo(100, 0.5), leo(201, 13.9, altitude=500e3)],
-                  batch_size=500, source_rate_hz=100.0, min_raw_pairs=1000)
-    return session_trace(net, eng, 30.0, qubits=1, pairs_target=1000,
-                         policy=DistillationPolicy(yield_rate=1.0))
+                  batch_size=500, source_rate_hz=100.0, min_raw_pairs=1000,
+                  yield_rate=1.0)
+    return session_trace(net, eng, 30.0, qubits=1, pairs_target=1000)
 
 
 def expired_before_distillation(tmp_path):
     # memories forget in 1 ms but the classical round trip takes ~3 ms
     eng, net = small_network(stations=[station(1, 0.0, 1e-3),
-                                       station(2, 4.0, 1e-3)])
-    return session_trace(net, eng, 1.0, qubits=1, pairs_target=1000,
-                         policy=DistillationPolicy(yield_rate=1.0))
+                                       station(2, 4.0, 1e-3)], yield_rate=1.0)
+    return session_trace(net, eng, 1.0, qubits=1, pairs_target=1000)
 
 
 def unmet_qubit_target(tmp_path):
@@ -104,9 +102,8 @@ def unmet_qubit_target(tmp_path):
 def integer_reals(tmp_path):
     # reals given as ints are still written as floats
     eng, net = small_network(downlink_b=0, source_rate_hz=10**6,
-                             batch_size=500)
-    return session_trace(net, eng, 1, qubits=1, pairs_target=1000,
-                         policy=DistillationPolicy(yield_rate=1))
+                             batch_size=500, yield_rate=1)
+    return session_trace(net, eng, 1, qubits=1, pairs_target=1000)
 
 
 RUNS = {
