@@ -55,23 +55,26 @@ class BeamParams:
         return math.pi * self.w0**2 / self.wavelength
 
 
-def _radius(beam: BeamParams, z: float) -> float:
-    """w(z) by the formula: ArithmeticError or inf past the float range."""
-    return beam.w0 * math.sqrt(1.0 + (z / beam.rayleigh_range) ** 2)
+def _width(beam: BeamParams, z: float) -> float:
+    """w(z) at a checked distance z >= 0; a ValueError names w0, the
+    wavelength and the distance when w(z)**2, or a step to it, overflows."""
+    try:
+        w = beam.w0 * math.sqrt(1.0 + (z / beam.rayleigh_range) ** 2)
+    except ArithmeticError:
+        w = math.inf
+    if not _squares(w):
+        raise ValueError(f"w0={beam.w0!r} at wavelength={beam.wavelength!r} "
+                         f"spreads the beam out of the float range at "
+                         f"distance={z!r}")
+    return w
 
 
 def beam_radius(beam: BeamParams, distance: float) -> float:
     """Beam radius w(z) = w0 * sqrt(1 + (z*lambda/(pi*w0^2))^2) at the
     distance z >= 0; a ValueError names w0, the wavelength and the distance
-    that take it past the float range."""
+    when w(z)**2 is past the float range."""
     check_real(distance, "distance", 0)
-    try:
-        w = _radius(beam, distance)
-    except ArithmeticError:
-        w = math.inf
-    if w == math.inf:
-        _check_budget(beam, distance)   # raises: the beam spreads too far
-    return w
+    return _width(beam, distance)
 
 
 def diffraction_transmittance(beam: BeamParams, rx_radius: float,
@@ -81,16 +84,15 @@ def diffraction_transmittance(beam: BeamParams, rx_radius: float,
     eta = 1 - exp(-2 * rx_radius^2 / w(z)^2) at the distance z.  Strictly
     decreasing in z and strictly increasing in rx_radius.  rx_radius and the
     distance must be finite and > 0: at infinity the formula gives 0 or 1
-    with no error.
+    with no error.  A ValueError names rx_radius when its square overflows,
+    then the beam and the distance by the rule of beam_radius.
     """
     check_real(rx_radius, "rx_radius", 0, strict=True)
     check_real(distance, "distance", 0, strict=True)
-    try:
-        w = _radius(beam, distance)    # inf gives the limit, transmittance 0
-        return 1.0 - math.exp(-2.0 * rx_radius**2 / w**2)
-    except ArithmeticError:
-        _check_budget(beam, distance, rx_radius)
-        raise
+    if not _squares(rx_radius):
+        raise ValueError(f"rx_radius={rx_radius!r} is too large to square")
+    w = _width(beam, distance)
+    return 1.0 - math.exp(-2.0 * rx_radius**2 / w**2)
 
 
 def _squares(x: float) -> bool:
@@ -99,20 +101,6 @@ def _squares(x: float) -> bool:
         return x ** 2 < math.inf
     except OverflowError:
         return False
-
-
-def _check_budget(beam: BeamParams, distance: float, rx_radius=0.0) -> None:
-    """Raise a ValueError naming the fields that take beam_radius, or with
-    rx_radius diffraction_transmittance, out of the float range: rx_radius,
-    or w0, the wavelength and the distance together, since any of them may
-    spread the beam; the beam checks its own Rayleigh range."""
-    if not _squares(rx_radius):
-        raise ValueError(f"rx_radius={rx_radius!r} is too large to square")
-    if not (_squares(distance / beam.rayleigh_range)
-            and _squares(_radius(beam, distance))):
-        raise ValueError(f"w0={beam.w0!r} at wavelength={beam.wavelength!r} "
-                         f"spreads the beam out of the float range at "
-                         f"distance={distance!r}")
 
 
 def db_from_eta(eta: float) -> float:

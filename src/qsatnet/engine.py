@@ -65,12 +65,18 @@ class EngineError(RuntimeError):
 
 def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf,
                strict: bool = False):
-    """value as a float if it is finite and in [lo, hi], or in (lo, hi]
-    when strict; else a ValueError naming the field.  Every real field,
-    argument, flag and scenario value of the package is checked here."""
-    if (math.isfinite(value) and (value > lo if strict else value >= lo)
-            and value <= hi):
-        return float(value)
+    """value as a float if it is a real number, not a bool, finite and in
+    [lo, hi], or in (lo, hi] when strict; else a ValueError naming the
+    field.  Every real field, argument, flag and scenario value is here."""
+    try:
+        real = not isinstance(value, bool)
+        if (real and math.isfinite(value)
+                and (value > lo if strict else value >= lo) and value <= hi):
+            return float(value)
+    except (TypeError, OverflowError):  # a str, None, a complex, a list; or
+        real = isinstance(value, int)   # an int past the float range
+    if not real:
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if hi < math.inf:
         bound = f" and in {'(' if strict else '['}{lo:g}, {hi:g}]"
     else:
@@ -89,13 +95,6 @@ def check_count(value, name: str, lo: int = 0, hi: Optional[int] = None) -> int:
     raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
-def _mix64(x: int) -> int:
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
-    return x ^ (x >> 31)
-
-
 # Scales the two rows of 53-bit integers k to -u_even = -(k 2**-53) and the
 # angle 2 pi u_odd = k (2**-53 2 pi); multiplying by 2**-53 is exact, so each
 # row gets the one rounding that (k 2**-53) 2 pi and the negation give
@@ -103,8 +102,8 @@ _NORMAL_SCALE = np.array([[-2.0**-53], [2.0**-53 * (2.0 * np.pi)]])
 
 
 def _mix64_array(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``_mix64`` over a uint64 array, in place; t is uint64 scratch of the
-    same shape, so no shift allocates a temporary."""
+    """The splitmix64 finalizer over a uint64 array, in place; t is uint64
+    scratch of the same shape, so no shift allocates a temporary."""
     np.right_shift(x, np.uint64(30), out=t)
     x ^= t
     x *= np.uint64(_MIX1)
@@ -148,11 +147,11 @@ class RngStream:
     """One keyed random stream with sequential and indexed access.
 
     Sequential draws of n values return an ndarray and advance the counter;
-    ``uniform_at`` reads the value at an absolute counter index without
-    moving it.  A stream used for indexed access should not also be drawn
-    from sequentially (the two views share the same counter line).  A
-    single stream must not be shared across concurrent callers; derive one
-    stream per worker instead.
+    ``uniforms_at`` reads the values at int64 counter indices, and
+    ``uniform_at`` at one, without moving it.  A stream used for indexed
+    access should not also be drawn from sequentially (the two views share
+    the same counter line).  A single stream must not be shared across
+    concurrent callers; derive one stream per worker instead.
     """
 
     def __init__(self, key: int):
@@ -197,13 +196,18 @@ class RngStream:
         return z * angle   # a new array that owns exactly its m values
 
     def uniform_at(self, index: int) -> float:
-        """Uniform in [0, 1) at an absolute counter index (stateless)."""
-        x = _mix64(self._base(index))
-        return (x >> 11) * 2.0**-53
+        """The one-element ``uniforms_at``, at an int64 index (stateless)."""
+        idx = np.array([check_count(index, "index", -2**63, 2**63 - 1)])
+        return float(self._uniforms(idx.view(np.uint64))[0])
 
     def uniforms_at(self, index) -> np.ndarray:
-        """Vectorized ``uniform_at`` over an integer index array."""
-        return self._uniforms(np.asarray(index, dtype=np.int64).astype(np.uint64))
+        """Uniforms in [0, 1) at absolute counter indices (stateless): an
+        array of a dtype that casts safely to int64, as uniform_at takes."""
+        idx = np.asarray(index)
+        if idx.dtype.kind not in "iu" or not np.can_cast(idx.dtype, np.int64):
+            raise ValueError(f"index must be int64 counter indices, got an "
+                             f"array of {idx.dtype}")
+        return self._uniforms(idx.astype(np.int64).view(np.uint64))
 
 
 def make_stream(root_seed: int, *parts) -> RngStream:
@@ -236,7 +240,7 @@ class Engine:
         return self._now
 
     def stream(self, *parts) -> RngStream:
-        return RngStream(derive_key(self.seed, parts))
+        return make_stream(self.seed, *parts)
 
     def schedule(self, time: float, kind: str,
                  handler: Callable[[Event], None]) -> Event:

@@ -106,26 +106,25 @@ class LinkGeometry:
     propagation_delay: float
 
 
-def _times(t):
-    """t, a time or an array of times [s], as a 1-D float array, and its
-    latest time; every time must be finite and >= 0."""
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    check_real(float(times.min()), "t", 0)
-    return times, check_real(float(times.max()), "t", 0)
-
-
-def _check_angle(start: float, rate: float, latest: float, name: str) -> None:
-    """An angle start + rate * t, rate >= 0, is largest at the latest t;
-    a ValueError names the field when that angle is past the float range."""
-    if start + rate * latest == math.inf:
-        raise ValueError(f"{name}={start!r} at t={latest!r} puts the angle "
-                         f"past the float range")
-
-
 def _per_element(fn, x: np.ndarray) -> np.ndarray:
     """fn, a math function, of each element.  libm per element keeps every
     row of an array form bit-equal to the scalar call."""
     return np.array([fn(v) for v in x.tolist()])
+
+
+def _cos_sin(start: float, rate: float, t, name: str):
+    """cos and sin of the angle start + rate * t, rate >= 0, as 1-D arrays,
+    one element per time of t, a time or an array of times [s].  Every time
+    must be finite and >= 0; the angle is largest at the latest time, and a
+    ValueError names the field when that angle is past the float range."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    check_real(float(times.min()), "t", 0)
+    latest = check_real(float(times.max()), "t", 0)
+    if start + rate * latest == math.inf:
+        raise ValueError(f"{name}={start!r} at t={latest!r} puts the angle "
+                         f"past the float range")
+    angle = start + rate * times
+    return _per_element(math.cos, angle), _per_element(math.sin, angle)
 
 
 def satellite_position(sat: Satellite, t) -> np.ndarray:
@@ -135,12 +134,9 @@ def satellite_position(sat: Satellite, t) -> np.ndarray:
     Uniform circular motion: in-plane angle from the ascending node is
     phase_at_epoch + sqrt(mu/r^3) * t, rotated by inclination then RAAN.
     """
-    times, latest = _times(t)
     r = sat.orbital_radius
-    rate = math.sqrt(MU_EARTH / r**3)
-    _check_angle(sat.phase_at_epoch, rate, latest, "phase_at_epoch")
-    theta = sat.phase_at_epoch + rate * times
-    cos_t, sin_t = _per_element(math.cos, theta), _per_element(math.sin, theta)
+    cos_t, sin_t = _cos_sin(sat.phase_at_epoch, math.sqrt(MU_EARTH / r**3), t,
+                            "phase_at_epoch")
     cos_i, sin_i = math.cos(sat.inclination), math.sin(sat.inclination)
     cos_o, sin_o = math.cos(sat.raan), math.sin(sat.raan)
     rows = r * np.column_stack((cos_o * cos_t - sin_o * sin_t * cos_i,
@@ -157,15 +153,13 @@ def ground_position(gs: GroundStation, t=0.0,
     With earth_rotation the longitude advances at the sidereal rate;
     otherwise the position is time-independent.
     """
-    times, latest = _times(t)
-    rate = SIDEREAL_RATE if earth_rotation else 0.0
-    _check_angle(gs.longitude, rate, latest, "longitude")
-    lon = gs.longitude + rate * times
+    cos_lon, sin_lon = _cos_sin(gs.longitude,
+                                SIDEREAL_RATE if earth_rotation else 0.0, t,
+                                "longitude")
     cos_lat = math.cos(gs.latitude)
-    rows = R_EARTH * np.column_stack((
-        cos_lat * _per_element(math.cos, lon),
-        cos_lat * _per_element(math.sin, lon),
-        np.full(len(times), math.sin(gs.latitude))))
+    rows = R_EARTH * np.column_stack((cos_lat * cos_lon, cos_lat * sin_lon,
+                                      np.full(len(cos_lon),
+                                              math.sin(gs.latitude))))
     return rows if np.ndim(t) else rows[0]
 
 

@@ -302,11 +302,13 @@ def encode(p: Packet) -> bytes:
 
 
 def decode(data: bytes) -> Packet:
-    """Parse one packet from bytes; total over arbitrary input.
+    """Parse one packet from a bytes-like object; total over any input.
 
     Never reads past the declared lengths; every failure raises a distinct
     PacketError subclass carrying the offending byte offset.
     """
+    # no copy of bytes; memoryview rejects an int, which bytes would size
+    data = data if isinstance(data, bytes) else bytes(memoryview(data))
     if len(data) < 2:
         raise TruncatedInput("input ends inside the magic", len(data))
     if data[:2] != MAGIC:

@@ -219,8 +219,9 @@ class EbitPool:
 
     Both stations receive the same pairs at the same times, so one pool
     serves the session.  Pairs are held as (ids, created_at) segments: one
-    per raw deposit and one per distillation output.  Ids must ascend from
-    segment to segment, which makes the duplicate check O(1).
+    per raw deposit and one per distillation output.  A segment's ids are a
+    step-1 range, and ranges must ascend from segment to segment, which
+    makes the duplicate check O(1) and exact.
 
     Raw pairs past the coherence time are never used, but they keep their
     memory slots until distillation replaces the raw segments, so a deposit
@@ -231,8 +232,8 @@ class EbitPool:
         self.coherence_time = check_real(coherence_time, "coherence_time", 0,
                                          strict=True)
         self.capacity = check_count(capacity, "capacity")
-        self.raw: list[tuple[Sequence[int], float]] = []
-        self.distilled: list[tuple[Sequence[int], float]] = []
+        self.raw: list[tuple[range, float]] = []
+        self.distilled: list[tuple[range, float]] = []
         self._size = 0
         self._last_id = -math.inf
 
@@ -245,7 +246,10 @@ class EbitPool:
     def is_fresh(self, created_at: float, t: float) -> bool:
         return (t - created_at) <= self.coherence_time
 
-    def _store(self, segments: list, ids: Sequence[int], created_at: float) -> None:
+    def _store(self, segments: list, ids: range, created_at: float) -> None:
+        if not (isinstance(ids, range) and ids.step == 1):
+            raise ValueError(f"pair ids must be a range of step 1, "
+                             f"got {ids!r}")
         if len(ids) == 0:
             return
         if ids[0] <= self._last_id:
@@ -254,7 +258,7 @@ class EbitPool:
         self._size += len(ids)
         self._last_id = ids[-1]
 
-    def deposit_raw(self, pair_ids: Sequence[int], created_at: float) -> Sequence[int]:
+    def deposit_raw(self, pair_ids: range, created_at: float) -> range:
         """Store raw pairs up to capacity; returns the ids actually kept."""
         kept = pair_ids[:max(0, self.space())]
         self._store(self.raw, kept, created_at)
@@ -264,7 +268,7 @@ class EbitPool:
         return [pid for ids, created_at in self.raw
                 if self.is_fresh(created_at, t) for pid in ids]
 
-    def replace_raw_with_distilled(self, distilled_ids: Sequence[int],
+    def replace_raw_with_distilled(self, distilled_ids: range,
                                    t: float) -> None:
         """Drop every raw pair and store the distilled output timestamped at t."""
         self._size -= sum(len(ids) for ids, _ in self.raw)
@@ -273,6 +277,7 @@ class EbitPool:
 
     def consume_distilled(self, t: float, max_count: int) -> list[int]:
         """Use up to max_count fresh distilled pairs at time t (oldest first)."""
+        check_count(max_count, "max_count")
         taken: list[int] = []
         for k, (ids, created_at) in enumerate(self.distilled):
             if self.is_fresh(created_at, t):
@@ -439,6 +444,8 @@ class Network:
                 pairs_target: int) -> Session:
         """Open a session at engine.now and radio the request to the
         coordination tier."""
+        check_count(a_id, "a_id")
+        check_count(b_id, "b_id")
         if a_id == b_id:
             raise ValueError("a session needs two distinct stations")
         if a_id not in self.stations or b_id not in self.stations:

@@ -61,6 +61,14 @@ class TestDiffractionTransmittance:
                 for z in np.linspace(100e3, 5e6, 25)]
         assert all(a > b for a, b in zip(etas, etas[1:]))
 
+    def test_beam_past_float_range_rejected(self):
+        # z / z_R overflows to inf, and so does w(z), with no exception;
+        # the transmittance once read 0.0
+        with pytest.raises(ValueError, match=re.escape(
+                "w0=1e-160 at wavelength=1.0 spreads the beam out of the "
+                "float range at distance=1000000.0")):
+            ch.diffraction_transmittance(ch.BeamParams(1e-160, 1.0), 1.0, 1e6)
+
     def test_strictly_increasing_in_rx_radius(self):
         beam = ch.BeamParams(0.2)
         etas = [ch.diffraction_transmittance(beam, rx, 1200e3)

@@ -325,6 +325,21 @@ class TestRatesSweep:
             "config error: w0=0.2 at wavelength=1e+150 spreads the beam out "
             "of the float range at distance=1000000.0\n")
 
+    @pytest.mark.parametrize("argv, distance", [
+        (["rates-sweep", "--distance", "1e6", "--waist-grid", "1e-160",
+          "--rx-grid", "0.5", "--samples", "3", "--wavelength", "1"],
+         "1000000.0"),
+        (["channel-sample", "--model", "fixed", "--waist", "1e-160",
+          "--wavelength", "1", "--n", "2"], "1200000.0")])
+    def test_beam_whose_radius_overflows_to_inf_exits_2(self, capsys, argv,
+                                                        distance):
+        # z / z_R and w(z) overflow to inf with no exception: both commands
+        # once wrote 0.0 transmittances and exited 0
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: w0=1e-160 at wavelength=1.0 spreads the beam out "
+            f"of the float range at distance={distance}\n")
+
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_first_failing_point_in_grid_order_exits_2(self, tmp_path, capsys,
                                                        monkeypatch, threads):

@@ -191,6 +191,22 @@ def test_gathered_indices_match_scalar_path():
     assert list(s.uniforms_at(np.array(idx))) == [s.uniform_at(i) for i in idx]
 
 
+@pytest.mark.parametrize("index", [
+    [1.5], [True], np.array([2**63], dtype=np.uint64), [2**64 + 5], "3"])
+def test_indices_that_are_not_int64_are_rejected(index):
+    # a float once read as its floor, a uint64 past 2**63 - 1 as an index
+    # modulo 2**64
+    with pytest.raises(ValueError, match="^index "):
+        make_stream(9, "gather").uniforms_at(index)
+
+
+@pytest.mark.parametrize("index", [2**64 + 5, 2**63, -2**63 - 1, 1.0, True])
+def test_scalar_index_outside_int64_is_rejected(index):
+    # 2**64 + 5 once read index 5
+    with pytest.raises(ValueError, match="^index "):
+        make_stream(9, "gather").uniform_at(index)
+
+
 def test_scalar_draws_match_vector_draws():
     s = make_stream(3, "scalar")
     v = make_stream(3, "scalar")

@@ -17,12 +17,15 @@ from qsatnet.scenario import ConfigError, load_scenario
 from test_scenario import MINIMAL, with_field
 
 NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# values that are not real numbers, and bools, which once read 1.0 and 0.0
+NOT_REAL = st.sampled_from(["1.0", None, 1 + 0j, [1.0], True, False])
 
 
 def bad_reals(lo=-math.inf, hi=math.inf, strict=False):
     """Every float a field that must be finite and in [lo, hi], or in
-    (lo, hi] when strict, has to reject."""
-    bad = [NONFINITE]
+    (lo, hi] when strict, has to reject, and every value that is not a
+    real number."""
+    bad = [NONFINITE, NOT_REAL]
     if lo > -math.inf:
         bad.append(st.floats(max_value=lo if strict
                              else math.nextafter(lo, -math.inf)))
@@ -144,9 +147,12 @@ CONSTRUCTORS = [
     (network, "source_rate_hz", POSITIVE),
     (network, "min_raw_pairs", bad_counts()),
     (network, "distill_rounds", bad_counts(1, COUNT_MAX)),
-    (network, "yield_rate", UNIT),
+    # None asks for the sampled yield
+    (network, "yield_rate", UNIT.filter(lambda value: value is not None)),
     (network, "yield_samples", bad_counts(1, COUNT_MAX)),
     (network, "earth_rotation", NOT_BOOL),
+    (request, "a_id", bad_counts()),
+    (request, "b_id", bad_counts()),
     (request, "qubits", bad_counts(1, COUNT_MAX)),
     (request, "pairs_target", bad_counts(1, COUNT_MAX)),
 ]

@@ -153,6 +153,33 @@ def test_call_returns_in_range_or_names_a_field(name, xs):
     _check(name, call, fields, bounds, xs[:call.__code__.co_argcount])
 
 
+POSITIVE = st.one_of(st.sampled_from([x for x in EDGES if x > 0]),
+                     st.floats(min_value=0.0, exclude_min=True,
+                               allow_infinity=False))
+
+
+@given(w0=POSITIVE, wavelength=POSITIVE, distance=POSITIVE)
+@example(w0=1e-160, wavelength=1.0, distance=1e6)    # once read 0.0
+@example(w0=7e153, wavelength=10.0, distance=1e308)  # once a finite radius
+def test_beam_radius_and_transmittance_share_one_budget(w0, wavelength,
+                                                        distance):
+    # beam_radius raises if and only if diffraction_transmittance does at
+    # a receiver radius whose square is finite
+    try:
+        beam = _beam(w0, wavelength)
+    except ValueError:
+        return
+    outcomes = []
+    for call in (lambda: ch.beam_radius(beam, distance),
+                 lambda: ch.diffraction_transmittance(beam, 1.0, distance)):
+        try:
+            call()
+            outcomes.append(None)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1], (w0, wavelength, distance, outcomes)
+
+
 def _leo(inclination=0.0, raan=0.0, phase=0.0, sat_id=1):
     return geom.Satellite(sat_id, geom.Tier.LEO, 1e6, 0.2, inclination, raan,
                           phase)

@@ -259,6 +259,29 @@ class TestDecode:
             data = pk.encode(random_packet(rng))
             assert pk.encode(pk.decode(data)) == data
 
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_bytes_like_input_decodes_like_bytes(self, wrap):
+        # a bytearray once left a bytearray error_corr in a frozen, so
+        # unhashable, packet; a memoryview once raised AttributeError
+        rng = random.Random(77)
+        for _ in range(50):
+            data = pk.encode(random_packet(rng))
+            p = pk.decode(wrap(bytearray(data)))
+            assert p == pk.decode(data)
+            assert hash(p) == hash(pk.decode(data))
+            assert type(p.error_corr) is bytes
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_bytes_like_junk_fails_like_bytes(self, wrap):
+        for blob in (*junk_corpus(), *mutation_corpus()):
+            assert decode_outcome(wrap(bytearray(blob))) == \
+                decode_outcome(blob)
+
+    def test_non_bytes_like_input_is_a_type_error(self):
+        # an int is not a frame size to allocate
+        with pytest.raises(TypeError):
+            pk.decode(2**40)
+
     def test_bad_magic(self):
         with pytest.raises(pk.BadMagic) as err:
             pk.decode(b"\x00\x00" + b"\x00" * 40)

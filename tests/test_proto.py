@@ -56,8 +56,8 @@ def counted_survival_draws(monkeypatch) -> list:
 class TestEbitPool:
     def test_deposit_respects_capacity(self):
         pool = EbitPool(1.0, 3)
-        kept = pool.deposit_raw([10, 11, 12, 13, 14], 0.0)
-        assert kept == [10, 11, 12]
+        kept = pool.deposit_raw(range(10, 15), 0.0)
+        assert list(kept) == [10, 11, 12]
         assert len(pool) == 3
 
     @pytest.mark.parametrize("coherence", [math.nan, 0.0, -1.0])
@@ -68,29 +68,49 @@ class TestEbitPool:
 
     def test_duplicate_ids_rejected(self):
         pool = EbitPool(1.0, 10)
-        pool.deposit_raw([1], 0.0)
+        pool.deposit_raw(range(1, 2), 0.0)
         with pytest.raises(ValueError):
-            pool.deposit_raw([1], 0.5)
+            pool.deposit_raw(range(1, 2), 0.5)
+
+    @pytest.mark.parametrize("ids", [[5, 4, 3], (1, 2), range(5, 0, -1),
+                                     range(1, 9, 2)])
+    def test_ids_other_than_a_step_1_range_rejected(self, ids):
+        # [5, 4, 3] then [4] once stored pair 4 twice: the O(1) duplicate
+        # check is exact only over ascending step-1 ranges
+        pool = EbitPool(1.0, 10)
+        with pytest.raises(ValueError, match="range of step 1"):
+            pool.deposit_raw(ids, 0.0)
+        with pytest.raises(ValueError, match="range of step 1"):
+            pool.replace_raw_with_distilled(ids, 0.0)
 
     def test_consume_accounting(self):
         # 5 ebits, 3 requested: 3 delivered and 2 remain
         pool = EbitPool(1.0, 10)
-        pool.replace_raw_with_distilled([1, 2, 3, 4, 5], t=0.0)
+        pool.replace_raw_with_distilled(range(1, 6), t=0.0)
         taken = pool.consume_distilled(0.5, 3)
         assert len(taken) == 3
         assert len(pool) == 2
 
+    @pytest.mark.parametrize("max_count", [-1, 2.5, True, None])
+    def test_max_count_must_be_a_count(self, max_count):
+        # -1 once took 4 of 5 pairs, 2.5 raised a bare TypeError
+        pool = EbitPool(1.0, 10)
+        pool.replace_raw_with_distilled(range(1, 6), t=0.0)
+        with pytest.raises(ValueError, match="^max_count "):
+            pool.consume_distilled(0.5, max_count)
+        assert len(pool) == 5
+
     def test_expired_ebits_never_consumed(self):
         pool = EbitPool(1.0, 10)
-        pool.replace_raw_with_distilled([1, 2], t=0.0)
+        pool.replace_raw_with_distilled(range(1, 3), t=0.0)
         eps = 1e-9
         assert pool.consume_distilled(1.0 + eps, 2) == []
         assert pool.consume_distilled(1.0, 2) == [1, 2]  # boundary is inclusive
 
     def test_fresh_raw_cutoff(self):
         pool = EbitPool(0.5, 10)
-        pool.deposit_raw([1, 2], 0.0)
-        pool.deposit_raw([3], 0.4)
+        pool.deposit_raw(range(1, 3), 0.0)
+        pool.deposit_raw(range(3, 4), 0.4)
         assert set(pool.fresh_raw(0.6)) == {3}
 
 

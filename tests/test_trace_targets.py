@@ -10,11 +10,16 @@ resolves each target with the tracer's own lookup and installs no wrapper;
 the others install the tracer and run a small version of each workload,
 so a change that stops calling a predicted layer (say
 ``geom.ground_position``, or ``channel.sample_downlink`` from a kernel that
-draws around it) fails here too.
+draws around it) fails here too.  The last runs each workload's warm-up op
+and checks its output against the digest pinned in ``bench/digests.json``,
+so a change that moves a workload's bytes fails here as well; like the
+other pins, the digests hold under numpy's x86-64 AVX512 dispatch.
 """
 
 import importlib.util
 import re
+import sys
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
@@ -26,12 +31,14 @@ SRC = ROOT / "src"
 def _load(name, path):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module      # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
 tracer = _load("bench_tracer", ROOT / "bench" / "tracer.py")
 bench_run = _load("bench_run", ROOT / "bench" / "run.py")
+bench_workloads = _load("bench_workloads", ROOT / "bench" / "workloads.py")
 TARGETS = [target for _, targets, *_ in tracer.LAYERS for target in targets]
 
 
@@ -129,3 +136,15 @@ def test_traced_packet_round_trip_calls_every_predicted_layer():
         assert back["qubits"] == [{**q, "encoding": 0} for q in spec["qubits"]]
 
     assert_predicted_layers_called(traced(call), "packet-codec")
+
+
+@pytest.mark.parametrize("workload", list(bench_workloads.WORKLOADS))
+def test_warmup_output_matches_its_pinned_digest(workload):
+    bench = bench_run.Bench(Namespace(workload=workload, seed=42, seconds=0,
+                                      trace=0), bench_workloads)
+    try:
+        bench.set_up()
+        assert bench.failures == []
+        assert bench.setup_ok and bench.digest_checked == 1
+    finally:
+        bench.close()
